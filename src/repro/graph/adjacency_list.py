@@ -25,7 +25,7 @@ from itertools import compress, repeat
 import numpy as np
 
 from ..datasets.stream import Batch
-from .base import BatchUpdateStats, DirectionStats, DynamicGraph, GraphDelta
+from .base import BatchUpdateStats, DirectionStats, DynamicGraph, GraphDelta, read_only
 
 __all__ = ["AdjacencyListGraph"]
 
@@ -89,6 +89,12 @@ class AdjacencyListGraph(DynamicGraph):
         self,
     ) -> tuple[dict[int, dict[int, float]], dict[int, dict[int, float]]]:
         return self._out, self._in
+
+    def out_degrees(self) -> np.ndarray:
+        return read_only(self._deg_out)
+
+    def in_degrees(self) -> np.ndarray:
+        return read_only(self._deg_in)
 
     def vertices_with_edges(self) -> list[int]:
         """Vertices with at least one incident edge (treat as read-only).

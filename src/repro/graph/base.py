@@ -21,6 +21,24 @@ from ..errors import VertexOutOfRangeError
 __all__ = ["DirectionStats", "BatchUpdateStats", "GraphDelta", "DynamicGraph"]
 
 
+def read_only(array: np.ndarray) -> np.ndarray:
+    """A non-writeable view of ``array`` (no copy)."""
+    view = array.view()
+    view.flags.writeable = False
+    return view
+
+
+def _view_degrees(view, num_vertices: int) -> np.ndarray:
+    """Per-vertex entry counts of a vertex -> {neighbor: weight} mapping."""
+    degrees = np.zeros(num_vertices, dtype=np.int64)
+    if len(view):
+        keys = np.fromiter(view.keys(), dtype=np.int64, count=len(view))
+        degrees[keys] = np.fromiter(
+            map(len, view.values()), dtype=np.int64, count=len(view)
+        )
+    return read_only(degrees)
+
+
 @dataclass
 class GraphDelta:
     """Changes to one adjacency direction since the last snapshot.
@@ -212,6 +230,18 @@ class DynamicGraph(abc.ABC):
         """
         out_adj, __ = self.adjacency_views()
         self.num_edges = sum(map(len, out_adj.values()))
+
+    def out_degrees(self) -> np.ndarray:
+        """Read-only int64 out-degree of every vertex (length ``num_vertices``).
+
+        Structures that maintain a degree array return it without copying;
+        this fallback counts the :meth:`adjacency_views` mappings.
+        """
+        return _view_degrees(self.adjacency_views()[0], self.num_vertices)
+
+    def in_degrees(self) -> np.ndarray:
+        """Read-only int64 in-degree of every vertex; see :meth:`out_degrees`."""
+        return _view_degrees(self.adjacency_views()[1], self.num_vertices)
 
     # -- shared helpers ----------------------------------------------------
     def out_degree(self, v: int) -> int:

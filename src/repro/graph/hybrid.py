@@ -51,7 +51,7 @@ import numpy as np
 from ..datasets.stream import Batch
 from ..telemetry.core import as_telemetry
 from .adjacency_list import AdjacencyListGraph, _empty_direction_stats
-from .base import BatchUpdateStats, DirectionStats, DynamicGraph, GraphDelta
+from .base import BatchUpdateStats, DirectionStats, DynamicGraph, GraphDelta, read_only
 
 __all__ = ["HybridAdjacencyGraph", "DEFAULT_PROMOTE_THRESHOLD"]
 
@@ -516,6 +516,12 @@ class HybridAdjacencyGraph(DynamicGraph):
 
     def in_degree(self, v: int) -> int:
         return int(self._ind.deg[v])
+
+    def out_degrees(self) -> np.ndarray:
+        return read_only(self._outd.deg)
+
+    def in_degrees(self) -> np.ndarray:
+        return read_only(self._ind.deg)
 
     def has_edge(self, u: int, v: int) -> bool:
         """True if edge u->v is currently present."""

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from ..compute.oca import OCAConfig
+from ..compute.pagerank import check_pagerank_settings
 from ..compute.registry import get_algorithm
 from ..costs import ComputeCostParameters, CostParameters
 from ..errors import ConfigurationError
@@ -125,6 +126,11 @@ class RunConfig:
     def __post_init__(self) -> None:
         get_algorithm(self.algorithm)  # raises ConfigurationError if unknown
         resolve_mode(self.mode)
+        check_pagerank_settings(
+            self.pr_tolerance,
+            self.pr_max_rounds,
+            names=("pr_tolerance", "pr_max_rounds"),
+        )
         if self.telemetry not in TELEMETRY_LEVELS:
             raise ConfigurationError(
                 f"telemetry must be one of {TELEMETRY_LEVELS}, "

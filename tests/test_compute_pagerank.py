@@ -8,6 +8,7 @@ from repro.compute.pagerank import IncrementalPageRank, StaticPageRank
 from repro.errors import ConfigurationError
 from repro.graph.adjacency_list import AdjacencyListGraph
 from repro.graph.snapshot import take_snapshot
+from repro.pipeline.config import RunConfig
 
 
 def _chain_graph(n=6):
@@ -22,6 +23,44 @@ def test_damping_validation():
         StaticPageRank(damping=1.0)
     with pytest.raises(ConfigurationError):
         IncrementalPageRank(AdjacencyListGraph(4), damping=0.0)
+
+
+# Each of these used to run silently: a round cap below 1 never moved the
+# ranks (every batch charged only the bare round overhead), a negative
+# tolerance pushed every visited vertex whether its rank changed or not,
+# and NaN failed every comparison so changes never travelled past one hop.
+BAD_SETTINGS = [
+    pytest.param(1e-7, 0, id="rounds=0"),
+    pytest.param(1e-7, -3, id="rounds=-3"),
+    pytest.param(-1.0, 100, id="tolerance=-1"),
+    pytest.param(float("nan"), 100, id="tolerance=nan"),
+    pytest.param(float("inf"), 100, id="tolerance=inf"),
+]
+
+
+@pytest.mark.parametrize("tolerance, rounds", BAD_SETTINGS)
+def test_run_config_rejects_bad_pagerank_settings(tolerance, rounds):
+    with pytest.raises(ConfigurationError, match="pr_"):
+        RunConfig(
+            "fb", 200, num_batches=2, algorithm="pr",
+            pr_tolerance=tolerance, pr_max_rounds=rounds,
+        )
+
+
+@pytest.mark.parametrize("tolerance, rounds", BAD_SETTINGS)
+def test_engines_reject_bad_pagerank_settings(tolerance, rounds):
+    with pytest.raises(ConfigurationError):
+        IncrementalPageRank(
+            AdjacencyListGraph(4), tolerance=tolerance, max_rounds=rounds
+        )
+    with pytest.raises(ConfigurationError):
+        StaticPageRank(tolerance=tolerance, max_iterations=rounds)
+
+
+def test_zero_tolerance_and_one_round_are_valid():
+    RunConfig("fb", 200, algorithm="pr", pr_tolerance=0.0, pr_max_rounds=1)
+    IncrementalPageRank(AdjacencyListGraph(4), tolerance=0.0, max_rounds=1)
+    StaticPageRank(tolerance=0.0, max_iterations=1)
 
 
 def test_static_two_vertex_analytic():
