@@ -380,9 +380,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     settings = ServeSettings.from_env(
         batch_target=args.serve_batch or args.batch_size,
         batch_min=args.serve_batch_min,
-        flush_interval=(
-            args.flush_ms / 1000.0 if args.flush_ms is not None else None
-        ),
         queue_depth=args.queue_depth,
         max_pending=args.max_pending,
         fair_share=args.fair_share,
@@ -944,11 +941,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--serve-batch-min", type=int, default=None, metavar="EDGES",
         help="smallest CAD early-cut batch ($REPRO_SERVE_BATCH_MIN)",
-    )
-    serve.add_argument(
-        "--flush-ms", type=float, default=None, metavar="MS",
-        help="max milliseconds a buffered edge may linger "
-        "($REPRO_SERVE_FLUSH_MS; default: 250)",
     )
     serve.add_argument(
         "--fixed-batching", action="store_true",

@@ -24,8 +24,10 @@ unit-testable with an injected clock:
   :func:`~repro.update.cad.cad_from_degrees` the update engine uses), it
   cuts early — the batch is already RO-friendly, and a prompt cut keeps
   ingest-to-visible latency low while handing the update engine a batch
-  whose reordering pays.  A ``flush_interval`` bounds the linger of a
-  slow trickle, and a drain cut flushes the partial tail on shutdown.
+  whose reordering pays.  Time never cuts: the server hands the whole
+  buffer to its pipeline driver the moment the driver is idle (an
+  ``"idle"`` cut, see :mod:`repro.serve.server`), so batch size follows
+  load, and a drain cut flushes the partial tail on shutdown.
 
 All waiting is the *caller's* job: :meth:`AdmissionController.admit`
 never sleeps, it returns a decision with a suggested delay, so an asyncio
@@ -274,7 +276,7 @@ class PendingBatch:
         markers: ``(seq, admit_monotonic)`` pairs for ingest-to-visible
             latency sampling (one per submission, not per edge).
         cut_reason: why the boundary fell here — ``"target"``, ``"cad"``,
-            ``"flush"`` or ``"drain"``.
+            ``"idle"``, ``"flush"`` or ``"drain"``.
     """
 
     src: np.ndarray
@@ -302,8 +304,6 @@ class MicroBatcher:
             this size regardless of shape).
         min_edges: smallest batch the CAD early-cut may produce (degree
             statistics below this are too noisy to act on).
-        flush_interval: maximum seconds the oldest buffered edge may
-            linger before a time-based cut.
         adaptive: enable the CAD early-cut (False = fixed-size batching).
         lam / threshold: the ABR parameters (§6.2.3 defaults) used for the
             CAD measurement.
@@ -314,7 +314,6 @@ class MicroBatcher:
         self,
         target_edges: int = 10_000,
         min_edges: int = 512,
-        flush_interval: float = 0.25,
         adaptive: bool = True,
         lam: int = 256,
         threshold: float = 465.0,
@@ -330,7 +329,6 @@ class MicroBatcher:
             )
         self.target_edges = target_edges
         self.min_edges = min_edges
-        self.flush_interval = flush_interval
         self.adaptive = adaptive
         self.lam = lam
         self.threshold = threshold
@@ -349,7 +347,6 @@ class MicroBatcher:
         self._has_delete = False
         self._tenant_counts: dict[str, int] = {}
         self._markers: list[tuple[int, float]] = []
-        self._first_append: float | None = None
         self._cad = 0.0
 
     @property
@@ -378,8 +375,6 @@ class MicroBatcher:
         """
         now = self._clock() if now is None else now
         n = len(src)
-        if self._first_append is None:
-            self._first_append = now
         self._src.extend(int(v) for v in src)
         self._dst.extend(int(v) for v in dst)
         if weight is None:
@@ -413,13 +408,12 @@ class MicroBatcher:
             cad_from_degrees(out_counts, size, self.lam),
         )
 
-    def cut_due(self, now: float | None = None) -> str | None:
-        """The reason a cut is due now, or None.
+    def cut_due(self) -> str | None:
+        """The reason the buffer's content calls for a cut, or None.
 
-        Checked after appends and by the periodic flusher:
-        ``"target"`` (size cap), ``"cad"`` (the buffer became
-        RO-friendly), ``"flush"`` (oldest edge lingered past the flush
-        interval).
+        Checked after appends: ``"target"`` (size cap) or ``"cad"`` (the
+        buffer became RO-friendly).  The other cuts (``"idle"``,
+        ``"flush"``, ``"drain"``) are the server's to make.
         """
         if self.size == 0:
             return None
@@ -431,12 +425,6 @@ class MicroBatcher:
             and self._cad >= self.threshold
         ):
             return "cad"
-        now = self._clock() if now is None else now
-        if (
-            self._first_append is not None
-            and now - self._first_append >= self.flush_interval
-        ):
-            return "flush"
         return None
 
     def cut(self, reason: str) -> PendingBatch:

@@ -18,6 +18,17 @@ Architecture (one process, two execution domains):
   completed snapshot, writes periodic checkpoints, releases admission
   window space, and beats the heartbeat monitor.
 
+The hand-off is work-conserving, with no timer.  When the driver finds
+no batch queued it turns idle and asks the loop to cut the buffer at once;
+when an append finds the driver idle, the loop cuts at once.  So a lone
+submission at low load is its own micro-batch, and under load a batch is
+everything that arrived during the previous step (or a ``target``/CAD
+cut).  Both transitions — the driver's "nothing queued → idle" and the
+loop's "idle → enqueue, busy" — happen under one lock, so an edge can
+never be left buffered behind a driver that is blocked on an empty queue.
+A query wakes an idle driver with a token that carries no work; a busy
+driver answers queries before its next step.
+
 Visibility is a watermark: every admitted edge gets a global sequence
 number; ``visible_seq`` advances to a batch's last edge when its step
 completes, and the ``(seq, admit-time)`` markers that fall below the
@@ -56,6 +67,9 @@ __all__ = [
 #: Sentinel closing the driver's work queue.
 _STOP = object()
 
+#: Wakes an idle driver to answer queries; not a batch, takes no queue slot.
+_WAKE = object()
+
 #: Rolling window of ingest-to-visible latency samples.
 _LATENCY_WINDOW = 4096
 
@@ -82,7 +96,6 @@ class ServeSettings:
     Attributes:
         batch_target: micro-batch size cap (edges) — the throughput cut.
         batch_min: smallest CAD early-cut batch (noise floor).
-        flush_interval: max seconds a buffered edge may linger.
         adaptive: CAD-aware batch sizing (False = fixed-size cuts).
         queue_depth: bounded hand-off queue length (batches).
         max_pending: global admitted-but-not-visible edge cap.
@@ -98,7 +111,6 @@ class ServeSettings:
 
     batch_target: int = 10_000
     batch_min: int = 512
-    flush_interval: float = 0.25
     adaptive: bool = True
     queue_depth: int = 8
     max_pending: int = 200_000
@@ -117,9 +129,6 @@ class ServeSettings:
         values = {
             "batch_target": _env("REPRO_SERVE_BATCH", cls.batch_target, int),
             "batch_min": _env("REPRO_SERVE_BATCH_MIN", cls.batch_min, int),
-            "flush_interval": _env(
-                "REPRO_SERVE_FLUSH_MS", cls.flush_interval * 1000.0, float
-            ) / 1000.0,
             "queue_depth": _env("REPRO_SERVE_QUEUE", cls.queue_depth, int),
             "max_pending": _env(
                 "REPRO_SERVE_MAX_PENDING", cls.max_pending, int
@@ -179,15 +188,12 @@ class _PipelineDriver(threading.Thread):
     def _loop(self) -> None:
         server = self._server
         while True:
+            item = server._next_item()
             self._answer_pending_queries()
-            try:
-                item = server._batch_queue.get(timeout=0.02)
-            except queue.Empty:
-                continue
             if item is _STOP:
                 break
-            self._apply(item)
-        self._answer_pending_queries()
+            if item is not _WAKE:
+                self._apply(item)
         if (
             server.settings.checkpoint_dir is not None
             and server.state.batches_done > server._last_checkpoint_batch
@@ -282,12 +288,15 @@ class _PipelineDriver(threading.Thread):
                     f"pagerank_topk needs algorithm 'pr', serving "
                     f"{pipeline.algorithm!r}"
                 )
+            k = request.get("k", 10)
+            if type(k) is not int or k < 1:
+                return _query_error("pagerank_topk needs an integer 'k' >= 1")
             engine = getattr(pipeline.compute, "engine", None)
             if engine is None:
                 reply["ranks"] = []
             else:
                 values = engine.as_array()
-                k = max(1, min(int(request.get("k", 10)), len(values)))
+                k = min(k, len(values))
                 top = np.argpartition(-values, k - 1)[:k]
                 top = top[np.argsort(-values[top], kind="stable")]
                 reply["ranks"] = [
@@ -302,9 +311,8 @@ class _PipelineDriver(threading.Thread):
             count = getattr(pipeline.compute, "count", None)
             reply["count"] = int(count) if count is not None else 0
         elif what == "degree":
-            try:
-                vertex = int(request.get("vertex", -1))
-            except (TypeError, ValueError):
+            vertex = request.get("vertex")
+            if type(vertex) is not int:
                 return _query_error("degree needs an integer 'vertex'")
             if not 0 <= vertex < pipeline.graph.num_vertices:
                 return _query_error(
@@ -333,6 +341,57 @@ class _PipelineDriver(threading.Thread):
 
 def _query_error(detail: str) -> dict:
     return {"ok": False, "error": "bad_query", "detail": detail}
+
+
+class _Rejected(Exception):
+    """A request that breaks the wire rules; ``reply`` answers it."""
+
+    def __init__(self, error: str, detail: str):
+        super().__init__(detail)
+        self.reply = {"ok": False, "error": error, "detail": detail}
+
+
+def _parse_edges(edges, num_vertices: int):
+    """Check an ``edges`` payload; returns ``(src, dst, weight, deletes)``.
+
+    Vertex ids must be JSON integers (not booleans) in
+    ``[0, num_vertices)``, weights finite numbers and delete flags
+    booleans.  Each rule is one pass over a column; nothing is coerced
+    (``int`` would read 1.7 and ``true`` as 1, ``bool`` would read
+    ``"false"`` as a delete).  Raises :class:`_Rejected`.
+    """
+    shape = "each edge is [src, dst, weight?, delete?]"
+    if not isinstance(edges, list) or not edges:
+        raise _Rejected("bad_edges", "edges must be a non-empty list")
+    if set(map(type, edges)) != {list} or not set(map(len, edges)) <= {2, 3, 4}:
+        raise _Rejected("bad_edges", shape)
+    ids = [e[0] for e in edges] + [e[1] for e in edges]
+    weights = [e[2] if len(e) > 2 else 1.0 for e in edges]
+    deletes = [e[3] if len(e) > 3 else False for e in edges]
+    if set(map(type, ids)) != {int}:
+        raise _Rejected("bad_edges", f"{shape}: vertex ids are integers")
+    if set(map(type, deletes)) != {bool}:
+        raise _Rejected("bad_edges", f"{shape}: delete flags are booleans")
+    not_finite = _Rejected("bad_edges", f"{shape}: weights are finite numbers")
+    if not set(map(type, weights)) <= {int, float}:
+        raise not_finite
+    out_of_range = _Rejected(
+        "vertex_out_of_range", f"vertex ids must lie in [0, {num_vertices})"
+    )
+    try:
+        ids = np.asarray(ids, dtype=np.int64)
+    except OverflowError:
+        raise out_of_range from None
+    try:
+        weight = np.asarray(weights, dtype=np.float64)
+    except OverflowError:  # an integer weight past the float range
+        raise not_finite from None
+    if ids.min() < 0 or ids.max() >= num_vertices:
+        raise out_of_range
+    if not np.isfinite(weight).all():
+        raise not_finite
+    n = len(edges)
+    return ids[:n], ids[n:], weight, deletes
 
 
 class ServeServer:
@@ -366,7 +425,6 @@ class ServeServer:
         self.batcher = MicroBatcher(
             target_edges=self.settings.batch_target,
             min_edges=min(self.settings.batch_min, self.settings.batch_target),
-            flush_interval=self.settings.flush_interval,
             adaptive=self.settings.adaptive,
             lam=abr.lam,
             threshold=abr.threshold,
@@ -379,13 +437,23 @@ class ServeServer:
             max_delay=self.settings.max_delay,
         )
         self.state = _ServeState()
-        self._batch_queue: queue.Queue = queue.Queue(
-            maxsize=max(1, self.settings.queue_depth)
-        )
+        # The hand-off: ``_batch_queue`` carries batches, ``_STOP`` and
+        # wake tokens; ``_queued`` counts all but the tokens, which is
+        # what ``queue_depth`` bounds.  ``_queued`` and ``_driver_idle``
+        # change only under ``_handoff``.
+        self._batch_queue: queue.Queue = queue.Queue()
+        self._queue_depth = max(1, self.settings.queue_depth)
+        self._handoff = threading.Lock()
+        self._queued = 0
+        self._driver_idle = False
+        #: Cuts waiting for a queue slot, in cut order (event loop only);
+        #: nothing may overtake them, an idle cut included.
+        self._put_order = asyncio.Lock()
+        self._puts_waiting = 0
+        self._loop: asyncio.AbstractEventLoop | None = None
         self._query_queue: queue.Queue = queue.Queue()
         self._driver = _PipelineDriver(self)
         self._server: asyncio.AbstractServer | None = None
-        self._flusher: asyncio.Task | None = None
         self._draining = False
         self._drained = asyncio.Event()
         self._last_checkpoint_batch = 0
@@ -399,14 +467,14 @@ class ServeServer:
 
     # -- lifecycle ------------------------------------------------------------
     async def start(self, host: str = "127.0.0.1", port: int = 0) -> tuple[str, int]:
-        """Bind, start the driver thread and flusher; returns (host, port)."""
+        """Bind and start the driver thread; returns (host, port)."""
         if self._server is not None:
             raise ConfigurationError("server already started")
+        self._loop = asyncio.get_running_loop()
         self._driver.start()
         self._server = await asyncio.start_server(
             self._handle_client, host, port
         )
-        self._flusher = asyncio.ensure_future(self._flush_loop())
         sockname = self._server.sockets[0].getsockname()
         return sockname[0], sockname[1]
 
@@ -424,8 +492,6 @@ class ServeServer:
         self.admission.start_drain()
         if self._server is not None:
             self._server.close()
-        if self._flusher is not None:
-            self._flusher.cancel()
         if self.batcher.size > 0:
             await self._enqueue(self.batcher.cut("drain"))
         await self._put_queue_item(_STOP)
@@ -450,23 +516,84 @@ class ServeServer:
                     {"ok": False, "error": "driver_failed", "detail": str(exc)}
                 )
 
-    # -- batching -------------------------------------------------------------
+    # -- hand-off -------------------------------------------------------------
+    def _next_item(self):
+        """Driver thread: the next queued item, blocking with no timeout.
+
+        With nothing queued and no query waiting, the driver turns idle
+        and has the event loop cut the buffer at once (:meth:`_cut_if_idle`).
+        """
+        with self._handoff:
+            if self._queued == 0:
+                if not self._query_queue.empty():
+                    return _WAKE
+                self._driver_idle = True
+                self._loop.call_soon_threadsafe(self._cut_if_idle)
+        item = self._batch_queue.get()
+        if item is not _WAKE:
+            with self._handoff:
+                self._queued -= 1
+        return item
+
+    def _put_locked(self, item) -> None:
+        self._batch_queue.put_nowait(item)
+        self._queued += 1
+        self._driver_idle = False
+
+    def _cut_if_idle(self) -> None:
+        """Event loop: hand an idle driver everything buffered.
+
+        Runs after each append that cut nothing and each time the driver
+        turns idle.  Once draining starts it does nothing: drain makes its
+        own cut, and none may follow ``_STOP``.
+        """
+        if self._draining or self._puts_waiting or self.batcher.size == 0:
+            return
+        with self._handoff:
+            if self._driver_idle:
+                self._put_locked(self.batcher.cut("idle"))
+
+    def _wake_driver(self) -> None:
+        """Event loop: wake an idle driver for a query.
+
+        A busy driver answers queries before its next step, so it gets no
+        token; an idle one has nothing queued, so the token it gets holds
+        no batch's slot.
+        """
+        with self._handoff:
+            if self._driver_idle:
+                self._driver_idle = False
+                self._batch_queue.put_nowait(_WAKE)
+
+    def _offer(self, item) -> bool:
+        """Queue ``item`` unless ``queue_depth`` items already wait."""
+        with self._handoff:
+            if self._queued >= self._queue_depth:
+                return False
+            self._put_locked(item)
+            return True
+
     async def _put_queue_item(self, item) -> None:
         """Bounded-queue put that never blocks the event loop.
 
         The driver is the only consumer and the event loop the only
-        producer, so full → poll is race-free backpressure.
+        producer, so full → poll is race-free backpressure.  Items reach
+        the driver in cut order: ``_put_order`` is FIFO and only its
+        holder polls, so a later cut cannot take a freed slot first.
         """
-        while True:
-            if self._driver.error is not None:
-                raise ConfigurationError(
-                    f"pipeline driver died: {self._driver.error!r}"
-                )
-            try:
-                self._batch_queue.put_nowait(item)
-                return
-            except queue.Full:
-                await asyncio.sleep(0.005)
+        self._puts_waiting += 1
+        try:
+            async with self._put_order:
+                while True:
+                    if self._driver.error is not None:
+                        raise ConfigurationError(
+                            f"pipeline driver died: {self._driver.error!r}"
+                        )
+                    if self._offer(item):
+                        return
+                    await asyncio.sleep(0.005)
+        finally:
+            self._puts_waiting -= 1
 
     async def _enqueue(self, pending: PendingBatch) -> None:
         await self._put_queue_item(pending)
@@ -475,14 +602,8 @@ class ServeServer:
         reason = self.batcher.cut_due()
         if reason is not None:
             await self._enqueue(self.batcher.cut(reason))
-
-    async def _flush_loop(self) -> None:
-        """Time-based cuts for trickling streams (nothing else may fire)."""
-        interval = max(0.01, self.settings.flush_interval / 4.0)
-        while True:
-            await asyncio.sleep(interval)
-            if not self._draining:
-                await self._maybe_cut()
+        else:
+            self._cut_if_idle()
 
     # -- protocol -------------------------------------------------------------
     async def _handle_client(self, reader: asyncio.StreamReader,
@@ -548,33 +669,12 @@ class ServeServer:
     async def _handle_edges(self, request: dict, tenant: str,
                             writer: asyncio.StreamWriter) -> None:
         edges = request.get("edges")
-        if not isinstance(edges, list) or not edges:
-            await self._reply(
-                writer, {"ok": False, "error": "bad_edges",
-                         "detail": "edges must be a non-empty list"}
-            )
-            return
         try:
-            src = np.asarray([e[0] for e in edges], dtype=np.int64)
-            dst = np.asarray([e[1] for e in edges], dtype=np.int64)
-            weight = np.asarray(
-                [e[2] if len(e) > 2 else 1.0 for e in edges], dtype=np.float64
+            src, dst, weight, deletes = _parse_edges(
+                edges, self.pipeline.graph.num_vertices
             )
-            deletes = [bool(e[3]) if len(e) > 3 else False for e in edges]
-        except (TypeError, ValueError, IndexError):
-            await self._reply(
-                writer, {"ok": False, "error": "bad_edges",
-                         "detail": "each edge is [src, dst, weight?, delete?]"}
-            )
-            return
-        nv = self.pipeline.graph.num_vertices
-        lo = int(min(src.min(), dst.min()))
-        hi = int(max(src.max(), dst.max()))
-        if lo < 0 or hi >= nv:
-            await self._reply(
-                writer, {"ok": False, "error": "vertex_out_of_range",
-                         "detail": f"vertex ids must lie in [0, {nv})"}
-            )
+        except _Rejected as exc:
+            await self._reply(writer, exc.reply)
             return
         n = len(edges)
         while True:
@@ -631,6 +731,7 @@ class ServeServer:
             return
         future: concurrent.futures.Future = concurrent.futures.Future()
         self._query_queue.put((request, future))
+        self._wake_driver()
         reply = await asyncio.wrap_future(future)
         await self._reply(writer, reply)
 

@@ -10,6 +10,9 @@ event-loop thread and speak the wire protocol through
 from __future__ import annotations
 
 import asyncio
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -96,8 +99,8 @@ def test_admission_oversize_drain_and_stats():
 # -- micro-batcher -------------------------------------------------------------
 
 def test_batcher_target_cut_sequences_and_tenant_counts():
-    mb = MicroBatcher(target_edges=10, min_edges=4, flush_interval=1.0,
-                      adaptive=False, clock=lambda: 0.0)
+    mb = MicroBatcher(target_edges=10, min_edges=4, adaptive=False,
+                      clock=lambda: 0.0)
     assert mb.append("a", [1, 2, 3], [4, 5, 6]) == 3
     assert mb.cut_due() is None
     mb.append("b", list(range(7)), list(range(7)))
@@ -110,27 +113,29 @@ def test_batcher_target_cut_sequences_and_tenant_counts():
     assert mb.size == 0 and mb.cut_reasons == {"target": 1}
 
 
-def test_batcher_flush_cut_is_time_based():
+def test_batcher_never_cuts_on_time_alone():
+    """Only size and shape cut inside the batcher: however long a small
+    buffer lingers, it waits for the server's idle, flush or drain cut."""
     clock = {"t": 0.0}
-    mb = MicroBatcher(target_edges=100, min_edges=4, flush_interval=0.5,
+    mb = MicroBatcher(target_edges=100, min_edges=4,
                       clock=lambda: clock["t"])
     mb.append("a", [1], [2])
+    clock["t"] = 3600.0
     assert mb.cut_due() is None
-    clock["t"] = 0.6
-    assert mb.cut_due() == "flush"
+    batch = mb.cut("idle")
+    assert batch.markers == [(1, 0.0)] and batch.cut_reason == "idle"
 
 
 def test_batcher_cad_early_cut_on_hub_concentration():
     """A buffer whose edges pile onto one hub is already RO-friendly
     (CAD >= TH), so the batcher cuts before reaching the size target."""
-    mb = MicroBatcher(target_edges=100_000, min_edges=64,
-                      flush_interval=100.0, clock=lambda: 0.0)
+    mb = MicroBatcher(target_edges=100_000, min_edges=64, clock=lambda: 0.0)
     n = 4096
     mb.append("a", list(range(n)), [0] * n)  # every edge hits vertex 0
     assert mb.cad >= mb.threshold
     assert mb.cut_due() == "cad"
     flat = MicroBatcher(target_edges=100_000, min_edges=64,
-                        flush_interval=100.0, clock=lambda: 0.0)
+                        clock=lambda: 0.0)
     flat.append("a", list(range(n)), list(range(1, n + 1)))
     assert flat.cad < flat.threshold
     assert flat.cut_due() is None
@@ -153,12 +158,10 @@ def test_batcher_preserves_weights_and_deletes():
 def test_serve_settings_env_defaults_and_overrides(monkeypatch):
     monkeypatch.setenv("REPRO_SERVE_BATCH", "123")
     monkeypatch.setenv("REPRO_SERVE_RATE", "50")
-    monkeypatch.setenv("REPRO_SERVE_FLUSH_MS", "100")
     monkeypatch.setenv("REPRO_SERVE_MAX_PENDING", "garbage")  # ignored
     settings = ServeSettings.from_env(rate=None, queue_depth=4)
     assert settings.batch_target == 123
     assert settings.rate == 50.0
-    assert settings.flush_interval == pytest.approx(0.1)
     assert settings.max_pending == ServeSettings.max_pending
     assert settings.queue_depth == 4  # explicit override wins
 
@@ -182,6 +185,39 @@ async def _until_visible(client: ServeClient, min_batches: int = 1) -> dict:
     raise AssertionError(f"edges never became visible: {stats}")
 
 
+async def _caught_up(client: ServeClient, timeout: float = 10.0) -> dict:
+    """Poll ``stats``, never sending ``flush``, until nothing is lagging."""
+    deadline = time.monotonic() + timeout
+    while True:
+        stats = await client.stats()
+        if stats["lag_edges"] == 0:
+            return stats
+        assert time.monotonic() < deadline, f"edges stranded: {stats}"
+        await asyncio.sleep(0.005)
+
+
+async def _wait_until(predicate, timeout: float = 10.0) -> None:
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never held"
+        await asyncio.sleep(0.002)
+
+
+def _hold(obj, name: str) -> tuple[threading.Event, threading.Event]:
+    """Make calls to ``obj.name`` wait for a release; returns the events
+    (entered, release).  Holding a driver call keeps the driver busy."""
+    entered, release = threading.Event(), threading.Event()
+    original = getattr(obj, name)
+
+    def held(*args, **kwargs):
+        entered.set()
+        release.wait(timeout=30.0)
+        return original(*args, **kwargs)
+
+    setattr(obj, name, held)
+    return entered, release
+
+
 # -- the tentpole invariant: live multi-client ingest == offline replay -------
 
 def test_multi_client_ingest_matches_offline_replay():
@@ -189,8 +225,7 @@ def test_multi_client_ingest_matches_offline_replay():
     state bit-identical to the same edges replayed as one offline stream
     in arrival order with the same batch boundaries."""
     config = _config()
-    settings = ServeSettings(batch_target=700, batch_min=64,
-                             flush_interval=0.05, capture=True)
+    settings = ServeSettings(batch_target=700, batch_min=64, capture=True)
     handle = start_server_thread(config, settings)
     try:
         async def drive():
@@ -252,7 +287,7 @@ def test_multi_client_ingest_matches_offline_replay():
 
 def test_queries_watermark_and_protocol_errors():
     handle = start_server_thread(
-        _config(), ServeSettings(batch_target=1_000, flush_interval=0.02)
+        _config(), ServeSettings(batch_target=1_000)
     )
     try:
         async def drive():
@@ -304,7 +339,7 @@ def test_queries_watermark_and_protocol_errors():
 def test_triangle_count_query_from_live_snapshot():
     handle = start_server_thread(
         _config(algorithm="triangles"),
-        ServeSettings(batch_target=1_000, flush_interval=0.02),
+        ServeSettings(batch_target=1_000),
     )
     try:
         async def drive():
@@ -353,22 +388,36 @@ def test_drain_flushes_partial_buffer_and_stops_cleanly():
     flushes the partial buffer), then stop the driver thread."""
     handle = start_server_thread(
         _config(),
-        # Nothing would ever cut on its own: huge target, long flush.
-        ServeSettings(batch_target=1_000_000, batch_min=1_000_000,
-                      flush_interval=1_000.0),
+        # Nothing cuts on size or shape: huge target and CAD floor.
+        ServeSettings(batch_target=1_000_000, batch_min=1_000_000),
     )
+    server = handle.server
+    # A driver held busy answering a query leaves new edges buffered.
+    entered, release = _hold(server._driver, "_answer")
+    stopper = threading.Thread(target=handle.stop)
 
     async def drive():
+        querier = await ServeClient.connect(handle.host, handle.port)
+        held = asyncio.ensure_future(querier.query("degree", vertex=0))
+        assert await asyncio.to_thread(entered.wait, 10.0)
         client = await ServeClient.connect(handle.host, handle.port)
         reply = await client.send_edges([[v, v + 1] for v in range(10)])
         assert reply["ok"]
         stats = await client.stats()
         assert stats["buffer_edges"] == 10 and stats["batches"] == 0
         await client.close()
+        stopper.start()
+        await _wait_until(lambda: server.admission.draining)
+        release.set()  # the driver now finds the drain cut, then _STOP
+        assert (await asyncio.wait_for(held, 10.0))["ok"]
+        await querier.close()
 
-    asyncio.run(drive())
-    handle.stop()
-    server = handle.server
+    try:
+        asyncio.run(drive())
+    finally:
+        release.set()
+    stopper.join(timeout=60.0)
+    assert not stopper.is_alive()
     assert server.state.visible_seq == 10
     assert server.state.batches_done == 1
     assert server.batcher.cut_reasons.get("drain") == 1
@@ -378,6 +427,190 @@ def test_drain_flushes_partial_buffer_and_stops_cleanly():
     handle.stop()  # idempotent
 
 
+# -- work-conserving hand-off ----------------------------------------------------
+
+def test_idle_driver_takes_a_lone_submission_at_once():
+    handle = start_server_thread(_config(), ServeSettings())
+    try:
+        async def drive():
+            client = await ServeClient.connect(handle.host, handle.port)
+            reply = await client.send_edges([[0, 1], [1, 2]])
+            assert reply["ok"]
+            stats = await _caught_up(client)
+            assert stats["visible_seq"] == 2 and stats["batches"] == 1
+            assert stats["cut_reasons"] == {"idle": 1}
+            await client.close()
+
+        asyncio.run(drive())
+    finally:
+        handle.stop()
+
+
+def test_submissions_during_a_step_coalesce_into_one_batch():
+    """While the driver is inside a step new submissions buffer; the
+    moment it finishes, everything buffered becomes the next batch."""
+    handle = start_server_thread(_config(), ServeSettings(capture=True))
+    entered, release = _hold(handle.server.pipeline, "step")
+    try:
+        async def drive():
+            client = await ServeClient.connect(handle.host, handle.port)
+            assert (await client.send_edges([[0, 1]]))["ok"]
+            assert await asyncio.to_thread(entered.wait, 10.0)
+            for v in range(1, 6):
+                reply = await client.send_edges([[v, v + 1], [v + 1, v]])
+                assert reply["ok"]
+            assert (await client.stats())["buffer_edges"] == 10
+            release.set()
+            stats = await _caught_up(client)
+            assert stats["batches"] == 2
+            assert stats["cut_reasons"] == {"idle": 2}
+            await client.close()
+
+        asyncio.run(drive())
+    finally:
+        release.set()
+        handle.stop()
+    assert handle.server.state.batch_sizes == [1, 10]
+
+
+def test_no_edge_is_stranded_without_a_timer():
+    """Lost wake-up stress: bursts from six clients, with queries, a
+    short thread switch interval and a one-slot queue in the mix, must
+    each become visible with no flush op.  A lost wake-up strands edges
+    and trips the deadline; a cut that overtakes an earlier one (two
+    target cuts racing for the freed slot, or an idle cut passing a
+    waiting one) leaves the watermark behind."""
+    settings = ServeSettings(batch_target=150, batch_min=64, queue_depth=1,
+                             capture=True)
+    handle = start_server_thread(_config(), settings)
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        async def drive():
+            clients = [
+                await ServeClient.connect(handle.host, handle.port,
+                                          tenant=f"s{i}")
+                for i in range(6)
+            ]
+            nv = clients[0].hello_info["num_vertices"]
+            rng = np.random.default_rng(5)
+
+            async def burst(client):
+                for __ in range(int(rng.integers(1, 4))):
+                    n = int(rng.integers(1, 200))
+                    edges = rng.integers(0, nv, size=(n, 2)).tolist()
+                    assert (await client.send_edges(edges))["ok"]
+                if rng.random() < 0.5:
+                    reply = await asyncio.wait_for(
+                        client.query("pagerank_topk", k=3), timeout=10.0
+                    )
+                    assert reply["ok"]
+
+            for __ in range(40):
+                await asyncio.gather(*(burst(c) for c in clients))
+                await _caught_up(clients[0], timeout=10.0)
+            for client in clients:
+                await client.close()
+
+        asyncio.run(drive())
+    finally:
+        sys.setswitchinterval(switch)
+        handle.stop()
+    state = handle.server.state
+    assert state.visible_seq == state.admitted_seq == sum(state.batch_sizes)
+    assert "flush" not in handle.server.batcher.cut_reasons
+
+
+def test_query_wakes_an_idle_driver():
+    """With no timed poll left, only the query's wake-up can get an idle
+    driver to answer; nothing else arrives to wake it."""
+    handle = start_server_thread(_config(), ServeSettings())
+    server = handle.server
+    try:
+        async def drive():
+            client = await ServeClient.connect(handle.host, handle.port)
+            assert (await client.send_edges([[0, 1]]))["ok"]
+            await _caught_up(client)
+            for __ in range(20):
+                await _wait_until(lambda: server._driver_idle)
+                reply = await asyncio.wait_for(
+                    client.query("degree", vertex=0), timeout=1.0
+                )
+                assert reply["ok"] and reply["out_degree"] == 1
+            await client.close()
+
+        asyncio.run(drive())
+    finally:
+        handle.stop()
+
+
+def test_query_arriving_as_the_driver_turns_idle_is_answered():
+    """A query queued after the driver answered its last batch of queries
+    but before it blocks finds it busy, so gets no wake token: the driver
+    must see it on its way to idle instead of blocking on it."""
+    handle = start_server_thread(_config(), ServeSettings())
+    server = handle.server
+    try:
+        async def drive():
+            client = await ServeClient.connect(handle.host, handle.port)
+            await _wait_until(lambda: server._driver_idle)
+            entered, release = _hold(server, "_next_item")
+            try:
+                first = await asyncio.wait_for(
+                    client.query("degree", vertex=0), timeout=10.0
+                )
+                assert first["ok"]
+                assert await asyncio.to_thread(entered.wait, 10.0)
+                second = asyncio.ensure_future(
+                    client.query("degree", vertex=0)
+                )
+                await _wait_until(lambda: not server._query_queue.empty())
+            finally:
+                release.set()
+            assert (await asyncio.wait_for(second, timeout=2.0))["ok"]
+            await client.close()
+
+        asyncio.run(drive())
+    finally:
+        handle.stop()
+
+
+# -- malformed input is answered, never coerced --------------------------------
+
+@pytest.fixture(scope="module")
+def served():
+    handle = start_server_thread(_config(), ServeSettings())
+    yield handle
+    handle.stop()
+
+
+@pytest.mark.parametrize("payload, error", [
+    ({"op": "edges", "edges": [[2**70, 2]]}, "vertex_out_of_range"),
+    ({"op": "edges", "edges": [[1.7, 2]]}, "bad_edges"),
+    ({"op": "edges", "edges": [[True, 2]]}, "bad_edges"),
+    ({"op": "edges", "edges": [["3", 2]]}, "bad_edges"),
+    ({"op": "edges", "edges": [[1, 2, float("nan")]]}, "bad_edges"),
+    ({"op": "edges", "edges": [[1, 2, float("-inf")]]}, "bad_edges"),
+    ({"op": "edges", "edges": [[1, 2, 1.0, "false"]]}, "bad_edges"),
+    ({"op": "query", "what": "degree", "vertex": 1.9}, "bad_query"),
+    ({"op": "query", "what": "pagerank_topk", "k": -5}, "bad_query"),
+], ids=["id_overflows_int64", "float_id", "bool_id", "string_id",
+        "nan_weight", "infinite_weight", "string_delete_flag",
+        "float_degree_vertex", "negative_topk_k"])
+def test_malformed_request_is_answered_and_connection_kept(served, payload,
+                                                           error):
+    async def drive():
+        client = await ServeClient.connect(served.host, served.port)
+        before = await client.stats()
+        reply = await client.request(payload)
+        assert reply["ok"] is False and reply["error"] == error, reply
+        after = await client.stats()
+        assert after["ok"] and after["admitted_seq"] == before["admitted_seq"]
+        await client.close()
+
+    asyncio.run(drive())
+
+
 # -- heartbeat integration -----------------------------------------------------
 
 def test_serve_heartbeat_carries_service_section(tmp_path):
@@ -385,7 +618,7 @@ def test_serve_heartbeat_carries_service_section(tmp_path):
 
     monitor = HeartbeatMonitor(tmp_path / "hb.json", label="serve fb")
     handle = start_server_thread(
-        _config(), ServeSettings(batch_target=50, flush_interval=0.02),
+        _config(), ServeSettings(batch_target=50),
         monitor=monitor,
     )
     try:
