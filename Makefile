@@ -1,6 +1,6 @@
 # Convenience targets for the repro library.
 
-.PHONY: install test test-fast test-faults lint bench bench-e2e bench-full bench-smoke bench-shard bench-partition report-smoke timeline-smoke serve-smoke tune-smoke fidelity examples clean
+.PHONY: install test test-fast test-faults lint bench bench-e2e bench-ab bench-full bench-smoke bench-shard bench-partition report-smoke timeline-smoke serve-smoke tune-smoke fidelity examples clean
 
 install:
 	pip install -e '.[test]'
@@ -90,6 +90,16 @@ bench:
 SEED ?= 1
 bench-e2e:
 	python3 perfbench/run.py --workload all --seed $(SEED)
+
+# A/B that benchmark for one workload: PAIRS alternating runs of BASE (a git
+# revision, exported to a temp dir) and the working tree, seeds SEED onwards;
+# prints each side's median/quartiles per metric and the change's wins.
+BASE ?= HEAD
+WORKLOAD ?= churn-friendster
+PAIRS ?= 10
+bench-ab:
+	python3 tools/bench_ab.py --base $(BASE) --workload $(WORKLOAD) \
+		--pairs $(PAIRS) --seed $(SEED)
 
 bench-full:
 	REPRO_BENCH_FULL=1 pytest benchmarks/ --benchmark-only

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from ..datasets.stream import Batch
+from ..datasets.stream import Batch, sorted_unique
 from ..errors import ConfigurationError
 from ..graph.base import DynamicGraph
 from ..graph.snapshot import CSRSnapshot
@@ -54,7 +54,7 @@ class StaticBFS:
                 touched_edges += len(targets)
                 neighbors.append(targets)
             if neighbors:
-                candidates = np.unique(np.concatenate(neighbors))
+                candidates = sorted_unique(np.concatenate(neighbors))
                 fresh = candidates[levels[candidates] < 0]
             else:
                 fresh = np.empty(0, dtype=np.int64)

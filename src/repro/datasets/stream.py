@@ -15,7 +15,28 @@ import numpy as np
 
 from ..errors import ConfigurationError
 
-__all__ = ["Batch", "EdgeStream", "batches_from_arrays"]
+__all__ = ["Batch", "EdgeStream", "batches_from_arrays", "sorted_unique"]
+
+
+def sorted_unique(values: np.ndarray) -> np.ndarray:
+    """Sorted unique elements of a 1-D array: a sort plus an adjacent diff.
+
+    Use this instead of a plain ``np.unique(x)`` or ``np.union1d(a, b)``
+    (``sorted_unique(np.concatenate([a, b]))``): NumPy 2.4 runs those
+    through a hash-based path that is over 10x slower than sorting on 100K
+    integer ids.
+    """
+    out = np.sort(values)
+    keep = np.empty(len(out), dtype=bool)
+    keep[:1] = True
+    np.not_equal(out[1:], out[:-1], out=keep[1:])
+    return out[keep]
+
+
+def _dtype_kind(column) -> str:
+    """NumPy dtype kind of ``column`` ("O" for non-arrays)."""
+    dtype = getattr(column, "dtype", None)
+    return dtype.kind if isinstance(dtype, np.dtype) else "O"
 
 
 @dataclass(frozen=True)
@@ -24,11 +45,17 @@ class Batch:
 
     Attributes:
         batch_id: 0-based position in the stream.
-        src: int64 array of source vertex ids.
-        dst: int64 array of destination vertex ids.
+        src: integer array of source vertex ids (int64 by convention).
+        dst: integer array of destination vertex ids.
         weight: float64 array of edge weights (all 1.0 for unweighted input).
         is_delete: optional bool array; True marks an edge deletion.  ``None``
             means the batch is insert-only (the common streaming case).
+
+    Raises:
+        ConfigurationError: the columns differ in length, ``src``/``dst``
+            are not integer arrays, or ``is_delete`` is not a bool array.
+            Other dtypes are rejected, never coerced: a 0/1 ``is_delete``
+            would index rows instead of masking them.
     """
 
     batch_id: int
@@ -43,8 +70,21 @@ class Batch:
                 "src, dst and weight must have equal length, got "
                 f"{len(self.src)}/{len(self.dst)}/{len(self.weight)}"
             )
-        if self.is_delete is not None and len(self.is_delete) != len(self.src):
-            raise ConfigurationError("is_delete length must match edge count")
+        for name, column in (("src", self.src), ("dst", self.dst)):
+            if _dtype_kind(column) not in "iu":
+                raise ConfigurationError(
+                    f"{name} must be an integer array, got "
+                    f"{getattr(column, 'dtype', type(column).__name__)}"
+                )
+        flags = self.is_delete
+        if flags is not None:
+            if _dtype_kind(flags) != "b":
+                raise ConfigurationError(
+                    "is_delete must be a bool array, got "
+                    f"{getattr(flags, 'dtype', type(flags).__name__)}"
+                )
+            if len(flags) != len(self.src):
+                raise ConfigurationError("is_delete length must match edge count")
         if self.batch_id < 0:
             raise ConfigurationError(f"batch_id must be >= 0, got {self.batch_id}")
 
@@ -85,7 +125,7 @@ class Batch:
 
     def unique_vertices(self) -> np.ndarray:
         """Sorted unique vertex ids touched by the batch (either endpoint)."""
-        return np.unique(np.concatenate([self.src, self.dst]))
+        return sorted_unique(np.concatenate([self.src, self.dst]))
 
     def in_degrees(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-vertex in-degree inside the batch.

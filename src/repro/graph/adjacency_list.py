@@ -9,18 +9,26 @@ linear array scan the paper's structure performs — the split between real
 mutation and modeled time is the library's core substitution (DESIGN.md §2).
 
 Batch ingestion is vectorized: edges are deduplicated and grouped with one
-composite-key sort (``key * |V| + value``) and ``np.unique`` segment
+composite-key sort (``key * |V| + value``) and ``flatnonzero`` segment
 arithmetic, per-vertex adjacency lengths live in a maintained degree array,
 and the surviving per-edge dict merges run through C-level ``map`` calls —
-no Python-level per-vertex loop.  ``repro.graph.reference`` keeps the
-original per-vertex implementation as the semantics oracle; the two must
-produce bit-identical :class:`~repro.graph.base.DirectionStats`.
+no Python-level per-vertex loop.  Deletions are one C-level ``dict.pop``
+pass per direction.  ``repro.graph.reference`` keeps the original
+per-vertex implementation as the semantics oracle; the two must produce
+bit-identical :class:`~repro.graph.base.DirectionStats`.
+
+Delta tracking (:meth:`AdjacencyListGraph.track_deltas`) journals the
+out-direction only, which is all a CSR snapshot holds.  Its merges take a
+composite-key sort and insert each vertex's new targets in ascending order;
+the in-direction, and both directions when untracked, insert in
+first-occurrence batch order, exactly like the reference loop.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from itertools import compress, repeat
+from operator import is_not
 
 import numpy as np
 
@@ -28,6 +36,12 @@ from ..datasets.stream import Batch
 from .base import BatchUpdateStats, DirectionStats, DynamicGraph, GraphDelta, read_only
 
 __all__ = ["AdjacencyListGraph"]
+
+# Deletion lookups: a never-seen vertex maps to the shared empty dict, and
+# ``dict.pop`` returns the sentinel for an absent entry.  A pop with a
+# default never mutates the dict it misses in, so the empty dict stays empty.
+_EMPTY: dict[int, float] = {}
+_MISSING = object()
 
 
 def _empty_direction_stats() -> DirectionStats:
@@ -56,15 +70,13 @@ class AdjacencyListGraph(DynamicGraph):
         # never needs per-vertex len() calls.
         self._deg_out = np.zeros(num_vertices, dtype=np.int64)
         self._deg_in = np.zeros(num_vertices, dtype=np.int64)
-        # Delta journal for snapshot patching (see track_deltas): per
-        # direction, the appended-edge arrays of each batch plus the set of
-        # vertices whose existing slices went stale.
+        # Delta journal for snapshot patching (see track_deltas): the
+        # out-direction's appended-edge arrays of each batch plus the set of
+        # vertices whose existing out-slices went stale.
         self._track = False
         self._delta_invalid = False
         self._journal_out: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-        self._journal_in: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         self._stale_out: set[int] = set()
-        self._stale_in: set[int] = set()
         # Incrementally maintained union of both directions' key sets, with a
         # cached sorted materialization (invalidated when vertices are added).
         self._touched: set[int] = set()
@@ -97,10 +109,11 @@ class AdjacencyListGraph(DynamicGraph):
         return read_only(self._deg_in)
 
     def vertices_with_edges(self) -> list[int]:
-        """Vertices with at least one incident edge (treat as read-only).
+        """Vertices that have ever had an incident edge (treat as read-only).
 
-        The sorted list is maintained incrementally — the union of both key
-        sets is tracked as batches apply and re-sorted only when new vertices
+        Includes vertices whose edges were all deleted since.  The sorted
+        list is maintained incrementally — the union of both key sets is
+        tracked as batches apply and re-sorted only when new vertices
         appeared, not O(V log V) on every call.
         """
         if self._touched_sorted is None:
@@ -114,9 +127,7 @@ class AdjacencyListGraph(DynamicGraph):
         self._track = enabled
         self._delta_invalid = False
         self._journal_out = []
-        self._journal_in = []
         self._stale_out = set()
-        self._stale_in = set()
 
     def notify_external_mutation(self) -> None:
         self.num_edges = sum(map(len, self._out.values()))
@@ -134,34 +145,15 @@ class AdjacencyListGraph(DynamicGraph):
             # consume_delta() forces a full snapshot rebuild.
             self._delta_invalid = True
 
-    def _direction_delta(
-        self, journal: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
-        stale: set[int],
-    ) -> GraphDelta:
-        if journal:
-            owners = np.concatenate([j[0] for j in journal])
-            targets = np.concatenate([j[1] for j in journal])
-            weights = np.concatenate([j[2] for j in journal])
-        else:
-            owners = np.empty(0, dtype=np.int64)
-            targets = np.empty(0, dtype=np.int64)
-            weights = np.empty(0, dtype=np.float64)
-        return GraphDelta(owners=owners, targets=targets, weights=weights, stale=stale)
-
-    def consume_delta(self) -> tuple[GraphDelta, GraphDelta] | None:
+    def consume_delta(self) -> GraphDelta | None:
         if not self._track:
             return None
         if self._delta_invalid:
             self.track_deltas(True)  # reset journal, report "unknown"
             return None
-        delta = (
-            self._direction_delta(self._journal_out, self._stale_out),
-            self._direction_delta(self._journal_in, self._stale_in),
-        )
+        delta = GraphDelta.from_journal(self._journal_out, self._stale_out)
         self._journal_out = []
-        self._journal_in = []
         self._stale_out = set()
-        self._stale_in = set()
         return delta
 
     def sum_search_cost(
@@ -186,29 +178,56 @@ class AdjacencyListGraph(DynamicGraph):
         return per_element * scanned
 
     # -- updates -----------------------------------------------------------
+    def _entries_for(
+        self,
+        adjacency: dict[int, dict[int, float]],
+        verts: np.ndarray,
+        length_before: np.ndarray,
+    ) -> list[dict[int, float]]:
+        """The entry dicts of the sorted unique ``verts``, creating missing ones.
+
+        Only a zero-degree vertex can lack one, so only those pay a
+        ``setdefault`` (ascending, the order new outer keys have always
+        arrived in); every vertex is then a plain lookup.
+        """
+        fresh = verts[length_before == 0]
+        if len(fresh):
+            fresh_list = fresh.tolist()
+            # iter(dict, None) calls dict() lazily per consumed element,
+            # avoiding an argument tuple per construction.
+            deque(
+                map(adjacency.setdefault, fresh_list, iter(dict, None)), maxlen=0
+            )
+            touched_before = len(self._touched)
+            self._touched.update(fresh_list)
+            if len(self._touched) != touched_before:
+                self._touched_sorted = None
+        return list(map(adjacency.__getitem__, verts.tolist()))
+
     def _apply_direction(
         self,
         adjacency: dict[int, dict[int, float]],
         degrees: np.ndarray,
-        journal: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
-        stale: set[int],
         keys: np.ndarray,
         values: np.ndarray,
         weights: np.ndarray,
+        journaled: bool,
     ) -> DirectionStats:
         """Group edges by ``keys`` and merge them into ``adjacency``.
 
         Duplicate edges (same key/value pair, whether already in the graph or
         repeated inside the batch) overwrite the stored weight — the paper's
         "update the weight only" semantics; for in-batch repeats the last
-        arrival wins.  Untracked ingest applies edges in stable key-sorted
-        order, so later repeats overwrite earlier ones without an explicit
-        dedup pass; the tracked path needs deduplicated appends for the delta
-        journal and pays for a composite-key sort instead.
+        arrival wins.  ``journaled`` marks the out-direction: only its merges
+        are recorded while delta tracking is on.  Untracked ingest applies
+        edges in stable key-sorted order, so later repeats overwrite earlier
+        ones without an explicit dedup pass; the tracked path needs
+        deduplicated appends for the delta journal and pays for a
+        composite-key sort instead.
         """
         if len(keys) == 0:
             return _empty_direction_stats()
-        if not self._track:
+        if not (journaled and self._track):
             return self._apply_direction_fast(adjacency, degrees, keys, values, weights)
         nv = self.num_vertices
         # One stable sort of the composite (key, value) id both deduplicates
@@ -231,24 +250,13 @@ class AdjacencyListGraph(DynamicGraph):
             0, np.flatnonzero(keys_sorted[1:] != keys_sorted[:-1]) + 1
         )
         batch_degree = np.diff(np.append(key_starts, len(keys_sorted)))
-        verts_list = verts.tolist()
-        # setdefault in one C pass: fetches the entry dict, materializing it
-        # for vertices seen for the first time.
-        size_before = len(adjacency)
-        vert_entries = list(
-            map(adjacency.setdefault, verts_list, map(dict, repeat(())))
-        )
-        if len(adjacency) != size_before:
-            touched_before = len(self._touched)
-            self._touched.update(verts_list)
-            if len(self._touched) != touched_before:
-                self._touched_sorted = None
+        length_before = degrees[verts]
+        vert_entries = self._entries_for(adjacency, verts, length_before)
         dedup_counts = np.diff(np.append(seg_starts, len(owners)))
         entries = np.repeat(
             np.array(vert_entries, dtype=object), dedup_counts
         ).tolist()
         targets_list = targets.tolist()
-        length_before = degrees[verts]
         # Per-edge duplicate flags are only needed for the delta journal;
         # the stats below get by with per-vertex length deltas.
         is_dup = np.fromiter(
@@ -257,8 +265,7 @@ class AdjacencyListGraph(DynamicGraph):
             count=len(entries),
         )
         self._record_delta(
-            journal, stale, entries, owners, targets, targets_list,
-            merged_weights, is_dup,
+            entries, owners, targets, targets_list, merged_weights, is_dup
         )
         deque(map(dict.__setitem__, entries, targets_list, merged_weights.tolist()), maxlen=0)
         new_deg = np.fromiter(
@@ -297,22 +304,8 @@ class AdjacencyListGraph(DynamicGraph):
         )
         verts = keys_sorted[key_starts]
         batch_degree = np.diff(np.append(key_starts, len(keys_sorted)))
-        verts_list = verts.tolist()
         length_before = degrees[verts]
-        if length_before.min() > 0:
-            # Every vertex already has edges, so its entry dict must exist:
-            # plain lookups, no per-vertex dict() allocation.
-            vert_entries = list(map(adjacency.__getitem__, verts_list))
-        else:
-            # iter(dict, None) calls dict() lazily per consumed element,
-            # avoiding an argument tuple per construction.
-            size_before = len(adjacency)
-            vert_entries = list(map(adjacency.setdefault, verts_list, iter(dict, None)))
-            if len(adjacency) != size_before:
-                touched_before = len(self._touched)
-                self._touched.update(verts_list)
-                if len(self._touched) != touched_before:
-                    self._touched_sorted = None
+        vert_entries = self._entries_for(adjacency, verts, length_before)
         entries = np.repeat(
             np.array(vert_entries, dtype=object), batch_degree
         ).tolist()
@@ -334,8 +327,6 @@ class AdjacencyListGraph(DynamicGraph):
 
     def _record_delta(
         self,
-        journal: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
-        stale: set[int],
         entries: list[dict[int, float]],
         owners: np.ndarray,
         targets: np.ndarray,
@@ -352,7 +343,7 @@ class AdjacencyListGraph(DynamicGraph):
         """
         is_new = ~is_dup
         if is_new.any():
-            journal.append(
+            self._journal_out.append(
                 (owners[is_new], targets[is_new], merged_weights[is_new])
             )
         if is_dup.any():
@@ -368,7 +359,7 @@ class AdjacencyListGraph(DynamicGraph):
             )
             changed = old_weights != merged_weights[is_dup]
             if changed.any():
-                stale.update(owners[is_dup][changed].tolist())
+                self._stale_out.update(owners[is_dup][changed].tolist())
 
     # -- per-direction API (sharded execution) -----------------------------
     def apply_direction_edges(
@@ -388,20 +379,19 @@ class AdjacencyListGraph(DynamicGraph):
         different shards.  Applies edges in stable key-sorted batch order,
         so per-vertex insertion order (and therefore the resulting
         :class:`~repro.graph.base.DirectionStats`) is bit-identical to the
-        unsharded ingest of the same slice.
+        unsharded ingest of the same slice; like there, only the
+        out-direction takes the tracked path.
 
         Does **not** touch ``num_edges``/``batches_applied`` bookkeeping;
         callers composing directions by hand own those.
         """
         if direction == "out":
             return self._apply_direction(
-                self._out, self._deg_out, self._journal_out, self._stale_out,
-                keys, values, weights,
+                self._out, self._deg_out, keys, values, weights, True
             )
         if direction == "in":
             return self._apply_direction(
-                self._in, self._deg_in, self._journal_in, self._stale_in,
-                keys, values, weights,
+                self._in, self._deg_in, keys, values, weights, False
             )
         raise ValueError(f"direction must be 'out' or 'in', got {direction!r}")
 
@@ -421,56 +411,66 @@ class AdjacencyListGraph(DynamicGraph):
             coordinator can maintain degree bookkeeping without the dicts.
         """
         if direction == "out":
-            adjacency, degrees, stale = self._out, self._deg_out, self._stale_out
+            hit_keys, __ = self._pop_edges(
+                self._out, self._deg_out, keys, values, True
+            )
         elif direction == "in":
-            adjacency, degrees, stale = self._in, self._deg_in, self._stale_in
+            hit_keys, __ = self._pop_edges(
+                self._in, self._deg_in, keys, values, False
+            )
         else:
             raise ValueError(f"direction must be 'out' or 'in', got {direction!r}")
-        removed: dict[int, int] = {}
-        get = adjacency.get
-        track = self._track
-        for u, v in zip(keys.tolist(), values.tolist()):
-            entry = get(u)
-            if entry is not None and v in entry:
-                del entry[v]
-                degrees[u] -= 1
-                if track:
-                    stale.add(u)
-                removed[u] = removed.get(u, 0) + 1
-        return removed
+        verts, counts = np.unique(hit_keys, return_counts=True)
+        return dict(zip(verts.tolist(), counts.tolist()))
+
+    def _pop_edges(
+        self,
+        adjacency: dict[int, dict[int, float]],
+        degrees: np.ndarray,
+        keys: np.ndarray,
+        values: np.ndarray,
+        journaled: bool,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Pop ``key -> value`` entries from one direction, array at a time.
+
+        One C-level ``dict.pop`` pass in batch order: a pair repeated in
+        the batch pops once, and an absent edge or never-seen vertex is a
+        no-op.  Degrees drop once per hit; while tracking, the out-owners
+        of hits go stale (``journaled`` marks the out-direction).
+
+        Returns:
+            The ``(keys, values)`` of the entries that existed.
+        """
+        entries = map(adjacency.get, keys.tolist(), repeat(_EMPTY))
+        popped = map(dict.pop, entries, values.tolist(), repeat(_MISSING))
+        hit = np.fromiter(
+            map(is_not, popped, repeat(_MISSING)), dtype=bool, count=len(keys)
+        )
+        hit_keys = keys[hit]
+        np.subtract.at(degrees, hit_keys, 1)
+        if journaled and self._track:
+            self._stale_out.update(hit_keys.tolist())
+        return hit_keys, values[hit]
 
     def _delete_edges(self, src: np.ndarray, dst: np.ndarray) -> int:
-        """Remove listed edges (both directions); returns edges removed."""
-        removed = 0
-        out_get = self._out.get
-        in_get = self._in.get
-        track = self._track
-        for u, v in zip(src.tolist(), dst.tolist()):
-            out_entry = out_get(u)
-            if out_entry is not None and v in out_entry:
-                del out_entry[v]
-                self._deg_out[u] -= 1
-                in_entry = in_get(v)
-                if in_entry is not None and u in in_entry:
-                    del in_entry[u]
-                    self._deg_in[v] -= 1
-                if track:
-                    self._stale_out.add(u)
-                    self._stale_in.add(v)
-                removed += 1
-        return removed
+        """Remove listed edges (both directions); returns edges removed.
+
+        The in-entry is popped only for edges whose out-entry existed.
+        """
+        hit_src, hit_dst = self._pop_edges(self._out, self._deg_out, src, dst, True)
+        if len(hit_src):
+            self._pop_edges(self._in, self._deg_in, hit_dst, hit_src, False)
+        return len(hit_src)
 
     def apply_batch(self, batch: Batch) -> BatchUpdateStats:
         """Ingest a batch: all insertions first, then deletions (§4.4.3)."""
         self.check_vertices(batch.src, batch.dst)
         inserts = batch.insertions
         out_stats = self._apply_direction(
-            self._out, self._deg_out, self._journal_out, self._stale_out,
-            inserts.src, inserts.dst, inserts.weight,
+            self._out, self._deg_out, inserts.src, inserts.dst, inserts.weight, True
         )
         in_stats = self._apply_direction(
-            self._in, self._deg_in, self._journal_in, self._stale_in,
-            inserts.dst, inserts.src, inserts.weight,
+            self._in, self._deg_in, inserts.dst, inserts.src, inserts.weight, False
         )
         inserted = int(out_stats.new_edges.sum()) if len(out_stats.new_edges) else 0
         deletes = batch.deletions

@@ -6,6 +6,11 @@ alternative (Section 6.2.3).  Both implement this interface: batched edge
 ingestion with duplicate checking, plus the per-vertex statistics the update
 cost models need (batch degree, pre-update adjacency length, new-vs-duplicate
 split per direction).
+
+Structures may also journal changes for CSR snapshot patching
+(:meth:`DynamicGraph.track_deltas` / :meth:`DynamicGraph.consume_delta`).
+Snapshots hold only the out-adjacency, so only the out-direction is
+journaled; the in-direction always ingests untracked.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ def _view_degrees(view, num_vertices: int) -> np.ndarray:
 
 @dataclass
 class GraphDelta:
-    """Changes to one adjacency direction since the last snapshot.
+    """Changes to the out-adjacency since the last snapshot.
 
     Recorded by structures with delta tracking enabled (see
     :meth:`DynamicGraph.consume_delta`) so ``DeltaSnapshotter`` can patch a
@@ -60,6 +65,19 @@ class GraphDelta:
     targets: np.ndarray
     weights: np.ndarray
     stale: set[int]
+
+    @classmethod
+    def from_journal(
+        cls,
+        journal: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
+        stale: set[int],
+    ) -> "GraphDelta":
+        """Concatenate per-batch ``(owners, targets, weights)`` appends."""
+        if not journal:
+            none = np.empty(0, dtype=np.int64)
+            return cls(none, none.copy(), np.empty(0, dtype=np.float64), stale)
+        owners, targets, weights = (np.concatenate(part) for part in zip(*journal))
+        return cls(owners, targets, weights, stale)
 
 
 @dataclass(frozen=True)
@@ -197,15 +215,15 @@ class DynamicGraph(abc.ABC):
         return 0.0
 
     def track_deltas(self, enabled: bool = True) -> None:
-        """Start (or stop) recording per-batch deltas for snapshot patching.
+        """Start (or stop) recording out-direction deltas for snapshot patching.
 
         Off by default so plain ingest pays no tracking cost; the default
         implementation ignores the request (structures without tracking
         simply keep returning ``None`` from :meth:`consume_delta`).
         """
 
-    def consume_delta(self) -> tuple[GraphDelta, GraphDelta] | None:
-        """Return and clear the (out, in) deltas recorded since last call.
+    def consume_delta(self) -> GraphDelta | None:
+        """Return and clear the out-direction delta recorded since last call.
 
         Only meaningful after :meth:`track_deltas`; consumption clears the
         journal, so attach at most one delta consumer per graph.  ``None``

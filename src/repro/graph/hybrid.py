@@ -32,10 +32,11 @@ bit-for-bit:
   materialized adjacency dicts (and the CSR snapshots built from them)
   iterate identically to the dict graph's — the float-accumulating compute
   kernels depend on this;
-* the tracked apply path journals appends / stale vertices exactly like
-  the dict graph (tracked inserts land in composite dst-ascending order,
-  untracked in first-occurrence batch order, matching the dict graph's two
-  code paths);
+* delta tracking journals the out-direction's appends / stale vertices
+  exactly like the dict graph: tracked out-inserts land in composite
+  dst-ascending order, while the in-direction (always) and untracked
+  out-inserts land in first-occurrence batch order, matching the dict
+  graph's two code paths;
 * :meth:`sum_search_cost` stays the *modeled* linear-scan formula — the
   real structure is faster, the charged time must not move.
 """
@@ -48,7 +49,7 @@ from itertools import compress
 
 import numpy as np
 
-from ..datasets.stream import Batch
+from ..datasets.stream import Batch, sorted_unique
 from ..telemetry.core import as_telemetry
 from .adjacency_list import AdjacencyListGraph, _empty_direction_stats
 from .base import BatchUpdateStats, DirectionStats, DynamicGraph, GraphDelta, read_only
@@ -194,9 +195,6 @@ class _Direction:
         # invalidated per vertex on every touch.  Handed out by the views,
         # so external mutations stay visible until the next rebuild.
         self.dict_cache: dict[int, dict[int, float]] = {}
-        # Delta journal (track_deltas): appended edges per batch + stale set.
-        self.journal: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-        self.stale: set[int] = set()
 
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
@@ -309,8 +307,12 @@ class HybridAdjacencyGraph(DynamicGraph):
         self._tel = as_telemetry(telemetry)
         self._outd = _Direction(num_vertices)
         self._ind = _Direction(num_vertices)
+        # Delta journal (track_deltas), out-direction only: appended edges
+        # per batch + the vertices whose existing out-slices went stale.
         self._track = False
         self._delta_invalid = False
+        self._journal_out: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        self._stale_out: set[int] = set()
         self._touched_mask = np.zeros(num_vertices, dtype=bool)
         self._touched_n = 0
         self._touched_sorted: list[int] | None = None
@@ -332,6 +334,11 @@ class HybridAdjacencyGraph(DynamicGraph):
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
+        if "_journal_out" not in state:
+            # Checkpoints from before out-only tracking kept a journal on
+            # each direction; adopt the out one, ignore the in one.
+            self._journal_out = self._outd.__dict__.pop("journal")
+            self._stale_out = self._outd.__dict__.pop("stale")
         self._probe = np.full(self.num_vertices, -1, dtype=np.int32)
         self._probe_base = 0
         self._view_out = _HybridAdjacencyView(self, self._outd)
@@ -448,20 +455,21 @@ class HybridAdjacencyGraph(DynamicGraph):
     def _demote_crossed(
         self, d: _Direction, verts: np.ndarray, direction: str
     ) -> None:
+        """Demote the hubs among the unique ``verts`` that fell to half
+        the promotion threshold or below."""
         floor = self.promote_threshold // 2
         crossed = verts[d.hub_mask[verts] & (d.deg[verts] <= floor)]
         if not len(crossed):
             return
-        demoted = np.unique(crossed)
-        for v in demoted.tolist():
+        for v in crossed.tolist():
             self._demote(d, v)
         if self._tel.enabled:
-            self._tel.count("adjacency.demotions", len(demoted))
+            self._tel.count("adjacency.demotions", len(crossed))
             self._tel.decision(
                 "adjacency",
                 choice="demote",
                 direction=direction,
-                count=len(demoted),
+                count=len(crossed),
                 threshold=self.promote_threshold,
             )
 
@@ -544,7 +552,11 @@ class HybridAdjacencyGraph(DynamicGraph):
         return self._view_out, self._view_in
 
     def vertices_with_edges(self) -> list[int]:
-        """Vertices with at least one incident edge (treat as read-only)."""
+        """Vertices that have ever had an incident edge (treat as read-only).
+
+        Includes vertices whose edges were all deleted since, like the dict
+        graph's outer keys.
+        """
         if self._touched_sorted is None:
             self._touched_sorted = np.flatnonzero(self._touched_mask).tolist()
         return self._touched_sorted
@@ -556,38 +568,24 @@ class HybridAdjacencyGraph(DynamicGraph):
     def track_deltas(self, enabled: bool = True) -> None:
         self._track = enabled
         self._delta_invalid = False
-        for d in (self._outd, self._ind):
-            d.journal = []
-            d.stale = set()
+        self._journal_out = []
+        self._stale_out = set()
 
-    def consume_delta(self) -> tuple[GraphDelta, GraphDelta] | None:
+    def consume_delta(self) -> GraphDelta | None:
         if not self._track:
             return None
         if self._delta_invalid:
             self.track_deltas(True)  # reset journal, report "unknown"
             return None
-        delta = (
-            self._direction_delta(self._outd),
-            self._direction_delta(self._ind),
-        )
-        for d in (self._outd, self._ind):
-            d.journal = []
-            d.stale = set()
+        delta = GraphDelta.from_journal(self._journal_out, self._stale_out)
+        self._journal_out = []
+        self._stale_out = set()
         return delta
 
-    @staticmethod
-    def _direction_delta(d: _Direction) -> GraphDelta:
-        if d.journal:
-            owners = np.concatenate([j[0] for j in d.journal])
-            targets = np.concatenate([j[1] for j in d.journal])
-            weights = np.concatenate([j[2] for j in d.journal])
-        else:
-            owners = np.empty(0, dtype=np.int64)
-            targets = np.empty(0, dtype=np.int64)
-            weights = np.empty(0, dtype=np.float64)
-        return GraphDelta(
-            owners=owners, targets=targets, weights=weights, stale=d.stale
-        )
+    def _journaled(self, d: _Direction) -> bool:
+        """Whether merges into ``d`` are journaled: the out-direction while
+        delta tracking is on (snapshots hold the out-CSR only)."""
+        return self._track and d is self._outd
 
     def notify_external_mutation(self) -> None:
         for d in (self._outd, self._ind):
@@ -851,8 +849,9 @@ class HybridAdjacencyGraph(DynamicGraph):
 
         keep = self._dedup_in_batch(ks, vs, ws, seg_start, batch_degree)
         # Unique pairs are now grouped by owner in first-occurrence batch
-        # order — the dict graph's *untracked* insertion order.  The tracked
-        # dict graph inserts in composite (dst-ascending) order instead.
+        # order — the dict graph's *untracked* insertion order.  The dict
+        # graph's tracked out-direction inserts in composite (dst-ascending)
+        # order instead.
         if keep is None:
             owners, targets, w_final = ks, vs, ws
             ucounts = batch_degree
@@ -866,7 +865,8 @@ class HybridAdjacencyGraph(DynamicGraph):
             pair_group = np.repeat(
                 np.arange(len(verts), dtype=np.int64), ucounts
             )
-        if self._track:
+        track = self._journaled(d)
+        if track:
             porder = _grouped_value_order(pair_group, targets, self.num_vertices)
             owners = owners[porder]
             targets = targets[porder]
@@ -880,7 +880,7 @@ class HybridAdjacencyGraph(DynamicGraph):
         if any_hub:
             with tel.span("adjacency.apply.hub"):
                 self._apply_hub(
-                    d, owners, targets, w_final, hub_pair, is_new
+                    d, owners, targets, w_final, hub_pair, is_new, track
                 )
             arr_pair = ~hub_pair
             if arr_pair.any():
@@ -892,16 +892,17 @@ class HybridAdjacencyGraph(DynamicGraph):
                         w_final[arr_pair],
                         is_new,
                         arr_pair,
+                        track,
                     )
         else:
             with tel.span("adjacency.apply.array"):
                 # No hub split: the caller's grouping is the array grouping.
                 self._apply_array(
-                    d, owners, targets, w_final, is_new, None,
+                    d, owners, targets, w_final, is_new, None, track,
                     averts=verts, pgroup=pair_group, ucounts=ucounts,
                 )
-        if self._track and is_new.any():
-            d.journal.append(
+        if track and is_new.any():
+            self._journal_out.append(
                 (owners[is_new], targets[is_new], w_final[is_new])
             )
         if bool(is_new.all()):
@@ -936,11 +937,12 @@ class HybridAdjacencyGraph(DynamicGraph):
         w: np.ndarray,
         hub_pair: np.ndarray,
         is_new_out: np.ndarray,
+        track: bool,
     ) -> None:
         """Merge unique pairs owned by hub vertices (hash-dict class).
 
-        Pairs arrive in the required insertion order (batch order when
-        untracked, composite order when tracked), so one C-level setitem
+        Pairs arrive in the required insertion order (composite order when
+        ``track`` is set, batch order otherwise), so one C-level setitem
         sweep lands them exactly like the dict graph would.
         """
         owners_list = owners[hub_pair].tolist()
@@ -953,7 +955,7 @@ class HybridAdjacencyGraph(DynamicGraph):
         )
         is_new_out[hub_pair] = ~contains
         wsel = w[hub_pair]
-        if self._track and contains.any():
+        if track and contains.any():
             flags = contains.tolist()
             old_w = np.fromiter(
                 map(
@@ -966,7 +968,9 @@ class HybridAdjacencyGraph(DynamicGraph):
             )
             changed = old_w != wsel[contains]
             if changed.any():
-                d.stale.update(owners[hub_pair][contains][changed].tolist())
+                self._stale_out.update(
+                    owners[hub_pair][contains][changed].tolist()
+                )
         deque(
             map(dict.__setitem__, entries, targets_list, wsel.tolist()),
             maxlen=0,
@@ -982,6 +986,7 @@ class HybridAdjacencyGraph(DynamicGraph):
         w: np.ndarray,
         is_new_out: np.ndarray,
         pair_mask: np.ndarray | None,
+        track: bool,
         averts: np.ndarray | None = None,
         pgroup: np.ndarray | None = None,
         ucounts: np.ndarray | None = None,
@@ -1014,10 +1019,10 @@ class HybridAdjacencyGraph(DynamicGraph):
         if not all_new:
             dup = ~new_mask
             pool_pos = gidx[hit[dup]]
-            if self._track:
+            if track:
                 changed = d.pool_w[pool_pos] != w[dup]
                 if changed.any():
-                    d.stale.update(owners[dup][changed].tolist())
+                    self._stale_out.update(owners[dup][changed].tolist())
             d.pool_w[pool_pos] = w[dup]
             if not new_mask.any():
                 if d.dict_cache:
@@ -1133,7 +1138,7 @@ class HybridAdjacencyGraph(DynamicGraph):
         else:
             owners = ks[keep]
             targets = vs[keep]
-        track = self._track
+        track = self._journaled(d)
         hub_pair = d.hub_mask[owners]
         rem_owner_parts: list[np.ndarray] = []
         rem_target_parts: list[np.ndarray] = []
@@ -1148,14 +1153,14 @@ class HybridAdjacencyGraph(DynamicGraph):
                     d.deg[u] -= 1
                     hhit[i] = True
                     if track:
-                        d.stale.add(u)
+                        self._stale_out.add(u)
                     removed[u] = removed.get(u, 0) + 1
             if hhit.any():
                 rem_owner_parts.append(ho[hhit])
                 rem_target_parts.append(ht[hhit])
             # Demotions may compact/relocate the pool; finish before the
             # array-class gather reads slice starts.
-            self._demote_crossed(d, np.unique(ho), direction)
+            self._demote_crossed(d, sorted_unique(ho), direction)
         arr_pair = ~hub_pair
         if arr_pair.any():
             ao = owners[arr_pair]
@@ -1195,7 +1200,7 @@ class HybridAdjacencyGraph(DynamicGraph):
                     )
                 )
                 if track:
-                    d.stale.update(hit_verts.tolist())
+                    self._stale_out.update(hit_verts.tolist())
                 if d.dict_cache:
                     for v in hit_verts.tolist():
                         d.dict_cache.pop(v, None)

@@ -30,11 +30,10 @@ class ReferenceAdjacencyListGraph(AdjacencyListGraph):
         self,
         adjacency: dict[int, dict[int, float]],
         degrees: np.ndarray,
-        journal: list,
-        stale: set[int],
         keys: np.ndarray,
         values: np.ndarray,
         weights: np.ndarray,
+        journaled: bool,
     ) -> DirectionStats:
         """The seed implementation: one Python loop over unique vertices."""
         order = np.argsort(keys, kind="stable")
@@ -62,11 +61,11 @@ class ReferenceAdjacencyListGraph(AdjacencyListGraph):
             length_before[i] = before
             new_edges[i] = len(entry) - before
         degrees[verts] += new_edges
-        if self._track:
+        if journaled and self._track:
             # The reference loop does not journal appends; marking every
             # merged vertex stale keeps delta snapshots correct (they fall
             # back to re-reading those vertices, or to a full rebuild).
-            stale.update(verts.tolist())
+            self._stale_out.update(verts.tolist())
         return DirectionStats(
             vertices=verts,
             batch_degree=counts,

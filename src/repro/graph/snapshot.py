@@ -1,17 +1,20 @@
-"""Immutable CSR snapshot of a dynamic graph for the compute phase.
+"""Immutable out-direction CSR snapshot of a dynamic graph for the compute phase.
 
-The static algorithms (GAP-style PageRank / SSSP) iterate over the whole
-graph; a CSR layout makes those sweeps cheap in numpy.  Incremental
-algorithms read the dynamic structure directly and do not need a snapshot.
+The static algorithms (GAP-style PageRank / SSSP, static BFS / CC, triangle
+counting) iterate over the whole graph; a CSR layout makes those sweeps
+cheap in numpy.  Every one of them reads only the out-adjacency, so the
+snapshot holds the out-CSR alone.  Incremental algorithms read the dynamic
+structure directly and do not need a snapshot.
 
 Two materialization paths exist:
 
 * :func:`take_snapshot` — the reference full rebuild, walking every vertex
   with edges;
 * :class:`DeltaSnapshotter` — caches the previous snapshot and patches only
-  the CSR slices of vertices dirtied since (tracked by the graph), falling
-  back to a full rebuild when the dirty fraction makes patching a loss.
-  Both paths produce bit-identical arrays (``tests/test_perf_parity.py``).
+  the CSR slices of vertices dirtied since (the graph journals its
+  out-direction), falling back to a full rebuild when the dirty fraction
+  makes patching a loss.  Both paths produce bit-identical arrays
+  (``tests/test_perf_parity.py``).
 """
 
 from __future__ import annotations
@@ -29,21 +32,18 @@ __all__ = ["CSRSnapshot", "take_snapshot", "DeltaSnapshotter"]
 
 @dataclass(frozen=True)
 class CSRSnapshot:
-    """CSR views of one graph snapshot (both directions).
+    """CSR view of one graph snapshot's out-adjacency.
 
     Attributes:
         num_vertices: vertex universe size.
-        out_offsets/out_targets/out_weights: CSR of the out-adjacency.
-        in_offsets/in_sources/in_weights: CSR of the in-adjacency.
+        out_offsets/out_targets/out_weights: CSR of the out-adjacency, each
+            vertex's targets in its adjacency's iteration order.
     """
 
     num_vertices: int
     out_offsets: np.ndarray
     out_targets: np.ndarray
     out_weights: np.ndarray
-    in_offsets: np.ndarray
-    in_sources: np.ndarray
-    in_weights: np.ndarray
 
     @property
     def num_edges(self) -> int:
@@ -53,27 +53,17 @@ class CSRSnapshot:
         """Out-degree of every vertex."""
         return np.diff(self.out_offsets)
 
-    def in_degrees(self) -> np.ndarray:
-        """In-degree of every vertex."""
-        return np.diff(self.in_offsets)
-
     def out_slice(self, v: int) -> tuple[np.ndarray, np.ndarray]:
         """(targets, weights) of v's out-edges."""
         a, b = self.out_offsets[v], self.out_offsets[v + 1]
         return self.out_targets[a:b], self.out_weights[a:b]
 
-    def in_slice(self, v: int) -> tuple[np.ndarray, np.ndarray]:
-        """(sources, weights) of v's in-edges."""
-        a, b = self.in_offsets[v], self.in_offsets[v + 1]
-        return self.in_sources[a:b], self.in_weights[a:b]
 
-
-def _direction_csr(
-    adjacency_of,  # callable: vertex -> dict[int, float]
-    num_vertices: int,
-    touched: list[int],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Build CSR arrays for one direction."""
+def take_snapshot(graph: DynamicGraph) -> CSRSnapshot:
+    """Materialize the current state of ``graph`` as a CSR snapshot."""
+    touched = graph.vertices_with_edges() if hasattr(graph, "vertices_with_edges") else list(range(graph.num_vertices))
+    num_vertices = graph.num_vertices
+    adjacency_of = graph.out_neighbors
     degrees = np.zeros(num_vertices, dtype=np.int64)
     for v in touched:
         degrees[v] = len(adjacency_of(v))
@@ -90,38 +80,15 @@ def _direction_csr(
         b = a + len(entry)
         neighbors[a:b] = list(entry.keys())
         weights[a:b] = list(entry.values())
-    return offsets, neighbors, weights
+    return CSRSnapshot(num_vertices, offsets, neighbors, weights)
 
 
-def take_snapshot(graph: DynamicGraph) -> CSRSnapshot:
-    """Materialize the current state of ``graph`` as a CSR snapshot."""
-    touched = graph.vertices_with_edges() if hasattr(graph, "vertices_with_edges") else list(range(graph.num_vertices))
-    out_offsets, out_targets, out_weights = _direction_csr(
-        graph.out_neighbors, graph.num_vertices, touched
-    )
-    in_offsets, in_sources, in_weights = _direction_csr(
-        graph.in_neighbors, graph.num_vertices, touched
-    )
-    return CSRSnapshot(
-        num_vertices=graph.num_vertices,
-        out_offsets=out_offsets,
-        out_targets=out_targets,
-        out_weights=out_weights,
-        in_offsets=in_offsets,
-        in_sources=in_sources,
-        in_weights=in_weights,
-    )
-
-
-def _patch_direction(
-    num_vertices: int,
-    offsets: np.ndarray,
-    neighbors: np.ndarray,
-    weights: np.ndarray,
+def _patch_csr(
+    prev: CSRSnapshot,
     adjacency_of,  # callable: vertex -> dict[int, float]
     delta,  # GraphDelta
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rebuild one direction's CSR arrays from the previous ones plus a delta.
+) -> CSRSnapshot:
+    """Rebuild a snapshot from the previous one plus an out-direction delta.
 
     Unchanged slices are gathered from the previous arrays with one
     vectorized indexed copy; appended edges (the journal) are scattered onto
@@ -130,6 +97,8 @@ def _patch_direction(
     result is bit-identical to a full rebuild because appends reproduce dict
     insertion order and both paths write entries in dict order.
     """
+    num_vertices = prev.num_vertices
+    offsets, neighbors, weights = prev.out_offsets, prev.out_targets, prev.out_weights
     app_owner, app_target, app_weight = delta.owners, delta.targets, delta.weights
     stale = delta.stale
     stale_mask = None
@@ -193,7 +162,7 @@ def _patch_direction(
         new_weights[stale_pos] = list(
             chain.from_iterable(entry.values() for entry in entries)
         )
-    return new_offsets, new_neighbors, new_weights
+    return CSRSnapshot(num_vertices, new_offsets, new_neighbors, new_weights)
 
 
 class DeltaSnapshotter:
@@ -201,10 +170,10 @@ class DeltaSnapshotter:
 
     Enables delta tracking on the graph, caches the last
     :class:`CSRSnapshot`, and on the next request patches the cached arrays
-    with the recorded :class:`~repro.graph.base.GraphDelta` (appended edges
-    scatter in; stale vertices re-read).  Falls back to
+    with the recorded out-direction :class:`~repro.graph.base.GraphDelta`
+    (appended edges scatter in; stale vertices re-read).  Falls back to
     :func:`take_snapshot` when no previous snapshot exists, the graph does
-    not track deltas, or the stale fraction exceeds ``rebuild_fraction`` of
+    not track deltas, or the stale vertices exceed ``rebuild_fraction`` of
     the touched vertices (re-reading ~everything is slower than rebuilding).
 
     Consuming the delta clears it on the graph, so attach at most one
@@ -252,32 +221,15 @@ class DeltaSnapshotter:
             delta = None
         if delta is not None:
             touched = graph.touched_count()
-            budget = self.rebuild_fraction * 2 * (touched or graph.num_vertices)
-            if len(delta[0].stale) + len(delta[1].stale) > budget:
+            budget = self.rebuild_fraction * (touched or graph.num_vertices)
+            if len(delta.stale) > budget:
                 delta = None
         if delta is None:
             snap = take_snapshot(graph)
             self.full_rebuilds += 1
             self.telemetry.count("snapshot.full_rebuilds")
         else:
-            prev = self._prev
-            out_offsets, out_targets, out_weights = _patch_direction(
-                prev.num_vertices, prev.out_offsets, prev.out_targets,
-                prev.out_weights, graph.out_neighbors, delta[0],
-            )
-            in_offsets, in_sources, in_weights = _patch_direction(
-                prev.num_vertices, prev.in_offsets, prev.in_sources,
-                prev.in_weights, graph.in_neighbors, delta[1],
-            )
-            snap = CSRSnapshot(
-                num_vertices=prev.num_vertices,
-                out_offsets=out_offsets,
-                out_targets=out_targets,
-                out_weights=out_weights,
-                in_offsets=in_offsets,
-                in_sources=in_sources,
-                in_weights=in_weights,
-            )
+            snap = _patch_csr(self._prev, graph.out_neighbors, delta)
             self.delta_patches += 1
             self.telemetry.count("snapshot.delta_patches")
         self._prev = snap

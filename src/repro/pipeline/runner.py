@@ -35,7 +35,7 @@ from ..costs import (
     CostParameters,
 )
 from ..datasets.profiles import DatasetProfile
-from ..datasets.stream import Batch
+from ..datasets.stream import Batch, sorted_unique
 from ..exec_model.machine import HOST_MACHINE, MachineConfig
 from ..graph.base import DynamicGraph
 from ..graph.formats import make_adjacency_graph
@@ -298,7 +298,9 @@ class StreamingPipeline:
             ctx.deferred = observation.defer_compute and not ctx.final
         affected = ctx.batch.unique_vertices()
         if self._pending_affected is not None:
-            affected = np.union1d(affected, self._pending_affected)
+            affected = sorted_unique(
+                np.concatenate([affected, self._pending_affected])
+            )
         ctx.affected = affected
         ctx.covered = self._pending_batches + [ctx.batch]
 

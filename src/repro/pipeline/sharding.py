@@ -253,8 +253,9 @@ class ShardWorker:
         removed_out = graph.delete_direction_edges(dout[0], dout[1], direction="out")
         removed_in = graph.delete_direction_edges(din[0], din[1], direction="in")
         deleted = sum(removed_out.values())
-        # Tracking exists here only to keep the worker on the tracked apply
-        # path (its per-vertex dict order differs from the fast path's); the
+        # Tracking exists here only to keep the worker's out-direction on
+        # the tracked apply path (its per-vertex dict order differs from the
+        # fast path's; the in-direction always takes the fast path); the
         # coordinator rebuilds snapshots from scratch, so drop the journal
         # rather than let it accumulate across batches.
         graph.consume_delta()
@@ -545,14 +546,15 @@ class ShardedGraph(DynamicGraph):
             raise
 
     def track_deltas(self, enabled: bool = True) -> None:
-        """Keep the shard workers on the *tracked* apply path.
+        """Keep the shard workers' out-direction on the *tracked* apply path.
 
         The tracked and untracked ingest paths insert a vertex's new
-        targets in different dict orders (composite-sort dedup vs raw batch
-        order), so when a delta consumer attaches — ``DeltaSnapshotter``
+        out-targets in different dict orders (composite-sort dedup vs raw
+        batch order), so when a delta consumer attaches — ``DeltaSnapshotter``
         does this for the static-recompute algorithms — the workers must
         flip too, or their adjacency would diverge bit-for-bit from a
-        tracked serial graph's.  The journal itself never crosses the
+        tracked serial graph's.  The in-direction ingests untracked either
+        way.  The journal itself never crosses the
         channel: workers drop it after every batch, :meth:`consume_delta`
         stays ``None`` (the inherited default), and snapshots rebuild from
         the coordinator's mirror.

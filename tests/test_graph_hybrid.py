@@ -112,17 +112,10 @@ def test_hybrid_matches_oracles(stream, tracked):
         if tracked:
             delta_h = hybrid.consume_delta()
             delta_d = dict_graph.consume_delta()
-            for direction in (0, 1):
-                assert np.array_equal(
-                    delta_h[direction].owners, delta_d[direction].owners
-                )
-                assert np.array_equal(
-                    delta_h[direction].targets, delta_d[direction].targets
-                )
-                assert np.array_equal(
-                    delta_h[direction].weights, delta_d[direction].weights
-                )
-                assert delta_h[direction].stale == delta_d[direction].stale
+            assert np.array_equal(delta_h.owners, delta_d.owners)
+            assert np.array_equal(delta_h.targets, delta_d.targets)
+            assert np.array_equal(delta_h.weights, delta_d.weights)
+            assert delta_h.stale == delta_d.stale
     # Content parity vs both oracles (dict equality ignores order).
     out_h, in_h = _content(hybrid)
     out_d, in_d = _content(dict_graph)
@@ -217,10 +210,7 @@ def test_delta_snapshot_parity_with_dict_graph():
         csr_h = snap_h.snapshot()
         csr_d = snap_d.snapshot()
         full = take_snapshot(hybrid)
-        for attr in (
-            "out_offsets", "out_targets", "out_weights",
-            "in_offsets", "in_sources", "in_weights",
-        ):
+        for attr in ("out_offsets", "out_targets", "out_weights"):
             assert np.array_equal(getattr(csr_h, attr), getattr(csr_d, attr))
             assert np.array_equal(getattr(csr_h, attr), getattr(full, attr))
 
@@ -246,7 +236,7 @@ def test_external_mutation_reloads_and_poisons_journal():
     graph.apply_batch(make_batch([4], [6], [1.5], batch_id=1))
     delta = graph.consume_delta()
     assert delta is not None
-    assert delta[0].owners.tolist() == [4]
+    assert delta.owners.tolist() == [4]
 
 
 def test_sum_search_cost_matches_dict_graph():

@@ -16,8 +16,6 @@ def test_snapshot_round_trips_adjacency(small_generator):
     for v in graph.vertices_with_edges():
         targets, weights = snap.out_slice(v)
         assert dict(zip(targets.tolist(), weights.tolist())) == graph.out_neighbors(v)
-        sources, weights = snap.in_slice(v)
-        assert dict(zip(sources.tolist(), weights.tolist())) == graph.in_neighbors(v)
 
 
 def test_snapshot_degrees(tiny_graph):
@@ -25,8 +23,7 @@ def test_snapshot_degrees(tiny_graph):
     snap = take_snapshot(tiny_graph)
     assert snap.out_degrees()[1] == 2
     assert snap.out_degrees()[2] == 1
-    assert snap.in_degrees()[3] == 2
-    assert snap.out_degrees().sum() == snap.in_degrees().sum() == 3
+    assert snap.out_degrees().sum() == 3
 
 
 def test_snapshot_empty_graph(tiny_graph):

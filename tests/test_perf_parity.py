@@ -8,6 +8,7 @@ values, same ordering.
 """
 
 import os
+import pickle
 
 import numpy as np
 import pytest
@@ -16,7 +17,9 @@ from hypothesis import given, settings, strategies as st
 from conftest import make_batch
 from repro.datasets.profiles import get_dataset
 from repro.datasets.stream_cache import cached_batches, cache_stats, clear_cache
+from repro.graph import adjacency_list
 from repro.graph.adjacency_list import AdjacencyListGraph
+from repro.graph.hybrid import HybridAdjacencyGraph
 from repro.graph.reference import ReferenceAdjacencyListGraph
 from repro.graph.snapshot import CSRSnapshot, DeltaSnapshotter, take_snapshot
 from repro.pipeline.executor import CellSpec, run_matrix
@@ -48,10 +51,7 @@ def _to_batch(edge_list, batch_id):
 
 def _assert_snapshots_identical(a: CSRSnapshot, b: CSRSnapshot):
     assert a.num_vertices == b.num_vertices
-    for field in (
-        "out_offsets", "out_targets", "out_weights",
-        "in_offsets", "in_sources", "in_weights",
-    ):
+    for field in ("out_offsets", "out_targets", "out_weights"):
         left, right = getattr(a, field), getattr(b, field)
         assert left.dtype == right.dtype, field
         assert np.array_equal(left, right), field
@@ -89,6 +89,40 @@ def test_delta_snapshot_with_skipped_batches(sequence):
     _assert_snapshots_identical(snapper.snapshot(), take_snapshot(graph))
 
 
+@pytest.mark.parametrize(
+    "cls", [AdjacencyListGraph, HybridAdjacencyGraph], ids=["dict", "hybrid"]
+)
+def test_checkpoints_with_in_direction_state_still_resume(cls):
+    """Pickles from before out-only tracking carry an in-CSR on the cached
+    snapshot and an in-direction journal on the graph (the hybrid graph
+    kept its journals on each direction).  They load, the extra state is
+    ignored, and the pending out-journal still patches bit-identically."""
+    graph = cls(N_VERTICES)
+    snapper = DeltaSnapshotter(graph, rebuild_fraction=1.0)
+    graph.apply_batch(make_batch([0, 0, 3, 2], [1, 2, 1, 0]))
+    snapper.snapshot()
+    graph.apply_batch(make_batch(
+        [0, 1, 0, 3], [5, 3, 1, 1], [1.0, 1.0, 4.0, 1.0], batch_id=1,
+        is_delete=[False, False, False, True],
+    ))
+    # Reshape into the old layout, with a journal still pending.
+    for name in ("in_offsets", "in_sources", "in_weights"):
+        object.__setattr__(snapper._prev, name, np.zeros(1))
+    in_journal = [(np.array([3]), np.array([1]), np.array([1.0]))]
+    if cls is HybridAdjacencyGraph:
+        graph._outd.journal = graph.__dict__.pop("_journal_out")
+        graph._outd.stale = graph.__dict__.pop("_stale_out")
+        graph._ind.journal, graph._ind.stale = in_journal, {1}
+    else:
+        graph._journal_in, graph._stale_in = in_journal, {1}
+    restored = pickle.loads(pickle.dumps(snapper))
+    restored.graph.apply_batch(make_batch(
+        [4, 0], [0, 2], batch_id=2, is_delete=[False, True]
+    ))
+    _assert_snapshots_identical(restored.snapshot(), take_snapshot(restored.graph))
+    assert restored.delta_patches == 1
+
+
 # -- vectorized ingest vs the seed loop ---------------------------------------
 
 
@@ -99,13 +133,26 @@ def _assert_stats_identical(mine, ref):
         assert np.array_equal(left, right), field
 
 
-@given(sequence_strategy)
+def _assert_degrees_match_views(graph):
+    views = graph.adjacency_views()
+    for degrees, view in zip((graph.out_degrees(), graph.in_degrees()), views):
+        want = [len(view.get(v, {})) for v in range(graph.num_vertices)]
+        assert degrees.tolist() == want
+
+
+@pytest.mark.parametrize("tracked", [False, True], ids=["untracked", "tracked"])
+@given(sequence=sequence_strategy)
 @settings(max_examples=50, deadline=None)
-def test_vectorized_ingest_matches_reference(sequence):
+def test_vectorized_ingest_matches_reference(sequence, tracked):
     """The vectorized `_apply_direction` reproduces the seed loop exactly:
-    DirectionStats arrays (dtype and values), adjacency content *and*
-    dict insertion order, degree caches, and edge counts."""
+    DirectionStats arrays (dtype and values), adjacency content, degree
+    caches (checked against the views after every batch, deletes
+    included), edge counts, and per-vertex dict item order.  Tracking
+    journals the out-direction only: the in-direction keeps the seed
+    loop's first-occurrence order either way, while the tracked
+    out-direction inserts each vertex's new targets in ascending order."""
     vec = AdjacencyListGraph(N_VERTICES)
+    vec.track_deltas(tracked)
     ref = ReferenceAdjacencyListGraph(N_VERTICES)
     for batch_id, edge_list in enumerate(sequence):
         batch = _to_batch(edge_list, batch_id)
@@ -114,32 +161,109 @@ def test_vectorized_ingest_matches_reference(sequence):
         _assert_stats_identical(stats_vec.out, stats_ref.out)
         _assert_stats_identical(stats_vec.inn, stats_ref.inn)
         assert stats_vec.deleted_edges == stats_ref.deleted_edges
+        _assert_degrees_match_views(vec)
     assert vec.num_edges == ref.num_edges
     out_vec, in_vec = vec.adjacency_views()
     out_ref, in_ref = ref.adjacency_views()
     assert out_vec == out_ref and in_vec == in_ref
-    for v, entry in out_vec.items():
-        assert list(entry) == list(out_ref[v])
+    for v, entry in in_vec.items():
+        assert list(entry.items()) == list(in_ref[v].items())
+    if not tracked:
+        for v, entry in out_vec.items():
+            assert list(entry.items()) == list(out_ref[v].items())
     assert vec.vertices_with_edges() == ref.vertices_with_edges()
 
 
-@given(sequence_strategy)
-@settings(max_examples=25, deadline=None)
-def test_tracked_ingest_matches_reference_stats(sequence):
-    """Delta tracking must not perturb the DirectionStats contract."""
-    vec = AdjacencyListGraph(N_VERTICES)
-    vec.track_deltas(True)
-    ref = ReferenceAdjacencyListGraph(N_VERTICES)
-    for batch_id, edge_list in enumerate(sequence):
-        batch = _to_batch(edge_list, batch_id)
-        stats_vec = vec.apply_batch(batch)
-        stats_ref = ref.apply_batch(batch)
-        _assert_stats_identical(stats_vec.out, stats_ref.out)
-        _assert_stats_identical(stats_vec.inn, stats_ref.inn)
-    out_vec, __ = vec.adjacency_views()
-    out_ref, __ = ref.adjacency_views()
-    assert out_vec == out_ref
-    assert vec.num_edges == ref.num_edges
+# -- deletes: explicit cases ----------------------------------------------------
+
+
+#: Every ingest path a delete can follow.
+DELETE_GRAPHS = [
+    pytest.param(AdjacencyListGraph, False, id="dict"),
+    pytest.param(AdjacencyListGraph, True, id="dict-tracked"),
+    pytest.param(HybridAdjacencyGraph, False, id="hybrid"),
+    pytest.param(HybridAdjacencyGraph, True, id="hybrid-tracked"),
+    pytest.param(ReferenceAdjacencyListGraph, False, id="reference"),
+]
+
+
+def _apply_delete_case(cls, tracked, batches):
+    graph = cls(N_VERTICES)
+    graph.track_deltas(tracked)
+    stats = []
+    for batch_id, (src, dst, weight, deletes) in enumerate(batches):
+        graph.consume_delta()
+        stats.append(graph.apply_batch(make_batch(
+            src, dst, weight, batch_id=batch_id, is_delete=deletes
+        )))
+        _assert_degrees_match_views(graph)
+    assert adjacency_list._EMPTY == {}
+    return graph, stats
+
+
+def _items(view, v):
+    return list(view.get(v, {}).items())
+
+
+@pytest.mark.parametrize("cls, tracked", DELETE_GRAPHS)
+def test_duplicate_delete_in_one_batch_removes_once(cls, tracked):
+    graph, stats = _apply_delete_case(cls, tracked, [
+        ([1, 1], [2, 3], [1.0, 2.0], None),
+        ([1, 1], [2, 2], None, [True, True]),
+    ])
+    assert stats[1].deleted_edges == 1
+    assert graph.num_edges == 1
+    out_view, in_view = graph.adjacency_views()
+    assert _items(out_view, 1) == [(3, 2.0)]
+    assert _items(in_view, 2) == []
+    if tracked:
+        assert graph.consume_delta().stale == {1}
+
+
+@pytest.mark.parametrize("cls, tracked", DELETE_GRAPHS)
+def test_deleting_absent_edges_and_unseen_vertices_is_a_no_op(cls, tracked):
+    graph, stats = _apply_delete_case(cls, tracked, [
+        ([1], [2], [1.0], None),
+        ([1, 2, 7], [5, 1, 8], None, [True, True, True]),
+    ])
+    assert stats[1].deleted_edges == 0
+    assert graph.num_edges == 1
+    out_view, in_view = graph.adjacency_views()
+    assert _items(out_view, 1) == [(2, 1.0)]
+    assert 7 not in out_view and 8 not in in_view
+    assert graph.vertices_with_edges() == [1, 2]
+    if tracked:
+        assert graph.consume_delta().stale == set()
+
+
+@pytest.mark.parametrize("cls, tracked", DELETE_GRAPHS)
+def test_self_loop_delete(cls, tracked):
+    graph, stats = _apply_delete_case(cls, tracked, [
+        ([4, 4], [4, 1], [3.0, 1.0], None),
+        ([4], [4], None, [True]),
+    ])
+    assert stats[1].deleted_edges == 1
+    out_view, in_view = graph.adjacency_views()
+    assert _items(out_view, 4) == [(1, 1.0)]
+    assert _items(in_view, 4) == []
+    assert _items(in_view, 1) == [(4, 1.0)]
+    assert graph.out_degrees()[4] == 1 and graph.in_degrees()[4] == 0
+
+
+@pytest.mark.parametrize("cls, tracked", DELETE_GRAPHS)
+def test_delete_then_reinsert_in_a_later_batch(cls, tracked):
+    graph, stats = _apply_delete_case(cls, tracked, [
+        ([1, 1], [2, 3], [1.0, 2.0], None),
+        ([1], [2], None, [True]),
+        ([1], [2], [5.0], None),
+    ])
+    assert [s.deleted_edges for s in stats] == [0, 1, 0]
+    assert stats[2].out.new_edges.tolist() == [1]
+    assert graph.num_edges == 2
+    out_view, in_view = graph.adjacency_views()
+    # The re-inserted edge is new again: it lands at the end.
+    assert _items(out_view, 1) == [(3, 2.0), (2, 5.0)]
+    assert _items(in_view, 2) == [(1, 5.0)]
 
 
 def test_notify_external_mutation_resyncs_caches():

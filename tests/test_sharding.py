@@ -61,10 +61,7 @@ def _run_cell(config: RunConfig):
 
 def _assert_snapshots_identical(a, b):
     assert a.num_vertices == b.num_vertices
-    for field in (
-        "out_offsets", "out_targets", "out_weights",
-        "in_offsets", "in_sources", "in_weights",
-    ):
+    for field in ("out_offsets", "out_targets", "out_weights"):
         left, right = getattr(a, field), getattr(b, field)
         assert left.dtype == right.dtype, field
         assert np.array_equal(left, right), field

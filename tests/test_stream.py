@@ -1,16 +1,45 @@
 """Batch and EdgeStream containers."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from conftest import make_batch
-from repro.datasets.stream import Batch, EdgeStream, batches_from_arrays
+from repro.datasets.stream import Batch, EdgeStream, batches_from_arrays, sorted_unique
 from repro.errors import ConfigurationError
 
 
 def test_batch_length_mismatch_rejected():
     with pytest.raises(ConfigurationError):
         Batch(0, np.array([1, 2]), np.array([3]), np.array([1.0, 1.0]))
+
+
+def test_batch_rejects_integer_is_delete():
+    """A 0/1 int array would index rows instead of masking them: the
+    insertions would read src [3, 2, 3] and the deletions [1, 2, 1]."""
+    with pytest.raises(ConfigurationError, match="is_delete must be a bool array"):
+        Batch(0, np.array([1, 2, 3]), np.array([4, 5, 6]), np.ones(3),
+              is_delete=np.array([0, 1, 0]))
+
+
+def test_batch_rejects_float_vertex_ids():
+    with pytest.raises(ConfigurationError, match="src must be an integer array"):
+        Batch(0, np.array([1.0, 2.0]), np.array([3, 4]), np.ones(2))
+    with pytest.raises(ConfigurationError, match="dst must be an integer array"):
+        Batch(0, np.array([1, 2]), np.array([3.0, 4.0]), np.ones(2))
+
+
+def test_batch_rejects_bool_vertex_ids():
+    with pytest.raises(ConfigurationError, match="dst must be an integer array"):
+        Batch(0, np.array([1, 2]), np.array([True, False]), np.ones(2))
+
+
+def test_batch_accepts_narrow_and_unsigned_ids():
+    b = Batch(0, np.array([1, 2], dtype=np.int32), np.array([3, 4], dtype=np.uint32),
+              np.ones(2), is_delete=np.array([False, True]))
+    assert b.deletions.src.tolist() == [2]
 
 
 def test_batch_negative_id_rejected():
@@ -47,6 +76,42 @@ def test_deletions_of_insert_only_batch_is_empty():
 def test_unique_vertices_covers_both_endpoints():
     b = make_batch([1, 1, 2], [3, 4, 4])
     assert b.unique_vertices().tolist() == [1, 2, 3, 4]
+
+
+def test_sorted_unique_matches_np_unique():
+    rng = np.random.default_rng(0)
+    for size in (0, 1, 2, 1_000):
+        values = rng.integers(0, 50, size=size)
+        got = sorted_unique(values)
+        assert got.dtype == values.dtype
+        assert np.array_equal(got, np.unique(values))
+
+
+def test_no_hash_based_unique_in_src():
+    """A plain `np.unique(x)` or `np.union1d` takes NumPy's hash-based
+    path, over 10x slower than sorting on 100K ids; `src/` calls
+    `sorted_unique` instead.  `np.unique` asking for counts, indices or
+    the inverse sorts, so those calls stay allowed."""
+    src_dir = Path(__file__).resolve().parent.parent / "src" / "repro"
+    offenders = []
+    for path in sorted(src_dir.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            func = getattr(node, "func", None)
+            if not (
+                isinstance(node, ast.Call)
+                and isinstance(func, ast.Attribute)
+                and isinstance(func.value, ast.Name)
+                and func.value.id == "np"
+            ):
+                continue
+            sorts = any(
+                (kw.arg or "").startswith("return_") for kw in node.keywords
+            )
+            if func.attr == "union1d" or (func.attr == "unique" and not sorts):
+                offenders.append(
+                    f"{path.relative_to(src_dir)}:{node.lineno}: np.{func.attr}"
+                )
+    assert not offenders, "\n".join(offenders)
 
 
 def test_degrees_per_side():

@@ -1,0 +1,159 @@
+#!/usr/bin/env python3
+"""A/B the end-to-end benchmark: a git revision against the working tree.
+
+    python3 tools/bench_ab.py --base HEAD --workload churn-friendster --pairs 10 --seed 31
+    make bench-ab BASE=HEAD WORKLOAD=churn-friendster PAIRS=10 SEED=31
+
+Exports ``--base`` with ``git archive`` into a temporary directory, then
+makes ``--pairs`` pairs of ``perfbench/run.py --workload W --seed S`` runs,
+one in that copy and one in the working tree, pair ``i`` on seed
+``--seed + i``.  The side that runs first alternates from pair to pair, so
+a drift in host speed reaches both sides alike.  Each side runs its own
+``perfbench/`` against its own ``src/``, one run at a time.
+
+Prints every run as it finishes, then, per end-to-end metric of
+BENCHMARK.json, each side's median and quartiles and the number of pairs
+the working tree won, and per side the correct runs and failed operations.
+The last line is the same summary as one JSON object.  A run that exits
+non-zero stops the comparison.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SIDES = ("base", "change")
+
+
+def export(rev: str, dest: Path) -> None:
+    """Write the files of ``rev`` into ``dest``."""
+    archive = subprocess.run(
+        ["git", "archive", "--format=tar", rev],
+        cwd=ROOT, capture_output=True, check=True,
+    ).stdout
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
+
+
+def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One ``perfbench/run.py`` run in ``tree``; its final JSON line."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    done = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+        cwd=tree, env=env, capture_output=True, text=True,
+    )
+    lines = done.stdout.strip().splitlines()
+    if done.returncode or not lines:
+        raise SystemExit(
+            f"{tree} seed {seed}: exit {done.returncode}\n{done.stderr[-4000:]}"
+        )
+    return json.loads(lines[-1])
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    """(q1, median, q3) of ``values``."""
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, median, q3
+
+
+def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
+    """Per-metric medians, quartiles and wins over ``pairs`` of results.
+
+    Each pair maps ``"base"`` and ``"change"`` to a run's JSON result;
+    ``metrics`` are BENCHMARK.json's ``end_to_end`` entries.
+    """
+    summary: dict = {"pairs": len(pairs), "metrics": {}}
+    for metric in metrics:
+        name = metric["name"]
+        values = {
+            side: [pair[side]["metrics"][name]["value"] for pair in pairs]
+            for side in SIDES
+        }
+        higher = metric["better"] == "higher"
+        wins = sum(
+            (c > b) if higher else (c < b)
+            for b, c in zip(values["base"], values["change"])
+        )
+        entry: dict = {"unit": metric["unit"], "better": metric["better"],
+                       "wins": wins}
+        for side in SIDES:
+            q1, median, q3 = quartiles(values[side])
+            entry[side] = {"median": median, "q1": q1, "q3": q3}
+        summary["metrics"][name] = entry
+    for side in SIDES:
+        summary[side] = {
+            "correct_runs": sum(bool(pair[side]["correct"]) for pair in pairs),
+            "failed": sum(pair[side]["failed"] for pair in pairs),
+            "attempted": sum(pair[side]["attempted"] for pair in pairs),
+        }
+    return summary
+
+
+def report(summary: dict) -> None:
+    pairs = summary["pairs"]
+    print(f"{'metric':<16} {'unit':<8} {'base median [q1, q3]':<34} "
+          f"{'change median [q1, q3]':<34} {'ratio':>6}  change wins")
+    for name, entry in summary["metrics"].items():
+        cells = []
+        for side in SIDES:
+            s = entry[side]
+            cells.append(f"{s['median']:.4g} [{s['q1']:.4g}, {s['q3']:.4g}]")
+        base = entry["base"]["median"]
+        ratio = entry["change"]["median"] / base if base else float("nan")
+        print(f"{name:<16} {entry['unit']:<8} {cells[0]:<34} {cells[1]:<34} "
+              f"{ratio:>6.3f}  {entry['wins']}/{pairs}")
+    for side in SIDES:
+        s = summary[side]
+        print(f"{side}: {s['correct_runs']}/{pairs} runs correct, "
+              f"{s['failed']} of {s['attempted']} operations failed")
+
+
+def main(argv=None) -> int:
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--base", required=True, help="git revision to compare against")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seed", type=int, default=1, help="seed of the first pair")
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be >= 1")
+    pairs = []
+    with tempfile.TemporaryDirectory(prefix="bench-ab-") as tmp:
+        trees = {"base": Path(tmp), "change": ROOT}
+        export(args.base, trees["base"])
+        for i in range(args.pairs):
+            seed = args.seed + i
+            order = SIDES if i % 2 == 0 else SIDES[::-1]
+            pair = {}
+            for side in order:
+                pair[side] = run_once(
+                    trees[side], args.workload, seed, spec["run_seconds"]
+                )
+                shown = ", ".join(
+                    f"{k}={v['value']:.4g}" for k, v in pair[side]["metrics"].items()
+                )
+                print(f"pair {i + 1}/{args.pairs} seed {seed} {side}: "
+                      f"correct={pair[side]['correct']} "
+                      f"failed={pair[side]['failed']} {shown}", flush=True)
+            pairs.append(pair)
+    summary = summarize(pairs, spec["end_to_end"])
+    summary.update(base_rev=args.base, workload=args.workload,
+                   seeds=[args.seed, args.seed + args.pairs - 1])
+    report(summary)
+    print(json.dumps(summary))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
