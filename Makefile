@@ -1,6 +1,6 @@
 # Convenience targets for the repro library.
 
-.PHONY: install test test-fast test-faults lint bench bench-e2e bench-ab bench-full bench-smoke bench-shard bench-partition report-smoke timeline-smoke serve-smoke tune-smoke fidelity examples clean
+.PHONY: install test test-fast test-faults lint bench bench-e2e bench-ab bench-full bench-smoke report-smoke timeline-smoke serve-smoke tune-smoke fidelity examples clean
 
 install:
 	pip install -e '.[test]'
@@ -21,7 +21,7 @@ lint:
 
 # Lint + parallel test run via pytest-xdist; falls back to serial when the
 # plugin isn't installed.
-test-fast: lint report-smoke timeline-smoke serve-smoke tune-smoke bench-shard test-faults
+test-fast: lint report-smoke timeline-smoke serve-smoke tune-smoke test-faults
 	@python -c "import xdist" 2>/dev/null \
 		&& pytest tests/ -n auto \
 		|| { echo "pytest-xdist not installed; running serially"; pytest tests/; }
@@ -40,22 +40,27 @@ report-smoke:
 	python -m repro report $$tmp/run.jsonl >/dev/null && \
 	rm -rf $$tmp && echo "report-smoke: OK"
 
-# Cross-process timeline smoke: a 2-shard tcp run must yield a Chrome
-# trace with coordinator + both worker tracks, a live heartbeat that
+# CLI timeline smoke: a traced `pr` run must yield a Chrome trace whose
+# coordinator track carries all five stage.* spans, a live heartbeat that
 # `repro top` can render, and a trace whose embedded timeline re-exports.
 timeline-smoke:
 	@tmp=$$(mktemp -d) && \
 	python -m repro run fb --batch-size 500 --num-batches 4 \
-		--algorithm none --shards 2 --shard-transport tcp \
-		--trace $$tmp/run.jsonl --timeline $$tmp/timeline.json \
+		--algorithm pr --trace $$tmp/run.jsonl \
+		--timeline $$tmp/timeline.json \
 		--heartbeat $$tmp/hb.json >/dev/null && \
 	python -m repro top $$tmp/hb.json --once >/dev/null && \
 	python -m repro report $$tmp/run.jsonl \
 		--timeline $$tmp/timeline2.json >/dev/null && \
 	python -c "import json, sys; \
 doc = json.load(open(sys.argv[1])); \
-tracks = {(e['pid'], e['tid']) for e in doc['traceEvents'] if e['ph'] == 'X'}; \
-assert len(tracks) == 3, tracks; \
+names = {e['args']['name'] for e in doc['traceEvents'] \
+         if e['ph'] == 'M' and e['name'] == 'thread_name'}; \
+assert names == {'coordinator'}, names; \
+spans = {e['name'] for e in doc['traceEvents'] if e['ph'] == 'X'}; \
+stages = {'stage.' + s for s in \
+          ('generate', 'update', 'observe', 'compute', 'record')}; \
+assert stages <= spans, stages - spans; \
 assert json.load(open(sys.argv[2]))['traceEvents']" \
 		$$tmp/timeline.json $$tmp/timeline2.json && \
 	rm -rf $$tmp && echo "timeline-smoke: OK"
@@ -108,26 +113,10 @@ bench-full:
 # armed: fails if the measured speedups drop >20% below the committed
 # BENCH_substrate.json / BENCH_adjacency.json.  Pins the hybrid format so
 # the gated numbers are the performance-optimal configuration.
-bench-smoke: bench-partition
+bench-smoke:
 	REPRO_BENCH_ENFORCE=1 REPRO_ADJ_FORMAT=hybrid pytest \
 		benchmarks/test_perf_substrate.py benchmarks/test_perf_adjacency.py \
 		--benchmark-only
-
-# Partition-policy smoke gate: greedy must cut fewer edges than mod on the
-# hub-heavy profile (deterministic, asserted unconditionally) and the cut /
-# ingest numbers must stay within tolerance of the committed
-# BENCH_partition.json.
-bench-partition:
-	REPRO_BENCH_ENFORCE=1 pytest benchmarks/test_perf_partition.py \
-		--benchmark-only
-
-# Sharded-ingest smoke gate: bounds the 1-shard coordination tax against
-# the committed BENCH_shard.json and, when cpu_count >= num_shards,
-# enforces shard speedup > 1 (see benchmarks/test_perf_shard.py's honesty
-# notes — on fewer cores the scaling floor is vacuous and skipped).
-bench-shard:
-	REPRO_BENCH_ENFORCE=1 REPRO_ADJ_FORMAT=hybrid pytest \
-		benchmarks/test_perf_shard.py --benchmark-only
 
 fidelity:
 	python -m repro fidelity

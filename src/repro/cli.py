@@ -51,8 +51,6 @@ from .graph.formats import ADJACENCY_FORMATS, DEFAULT_ADJACENCY
 from .hau.simulator import HAUSimulator
 from .pipeline.config import RunConfig
 from .pipeline.modes import MODES
-from .pipeline.partition import PARTITION_POLICIES
-from .pipeline.transport import DEFAULT_TRANSPORT, SHARD_TRANSPORTS
 from .pipeline.runner import ALGORITHMS
 from .telemetry.core import TELEMETRY_LEVELS
 from .update.engine import UpdateEngine, UpdatePolicy
@@ -153,18 +151,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
         else:
             print("interrupted", file=sys.stderr)
         return 130
-    finally:
-        close = getattr(pipeline, "close", None)
-        if close is not None:  # sharded pipelines own worker processes
-            close()
     if trace is not None:
         trace.close()
         print(f"trace: {trace.events_written} events -> {trace.path}")
     if args.timeline:
         from .telemetry.timeline import write_chrome_trace
 
-        # Workers were harvested at close(); the coordinator recorder is
-        # still live, so the export sees every process.
         snapshots = pipeline.timeline_snapshots()
         if snapshots:
             write_chrome_trace(args.timeline, snapshots)
@@ -232,9 +224,6 @@ def _cmd_run_matrix(args: argparse.Namespace) -> int:
         return 2
     if args.heartbeat:
         print("--heartbeat requires a single dataset", file=sys.stderr)
-        return 2
-    if getattr(args, "shards", 1) > 1:
-        print("--shards requires a single dataset", file=sys.stderr)
         return 2
     stats: dict = {}
     results = run_matrix(configs, jobs=args.jobs, stats=stats)
@@ -855,28 +844,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes for multi-dataset runs (0 = all cores)",
     )
     run.add_argument(
-        "--shards", type=int, default=1, metavar="N",
-        help="vertex-partitioned shard worker processes for a single run's "
-        "update phase (results are bit-identical at any shard count; "
-        "single dataset only)",
-    )
-    run.add_argument(
-        "--shard-transport", choices=sorted(SHARD_TRANSPORTS), default=None,
-        metavar="NAME", dest="shard_transport",
-        help="how the coordinator reaches its shard workers: "
-        f"{', '.join(sorted(SHARD_TRANSPORTS))} (results are bit-identical "
-        "across transports; default: $REPRO_SHARD_TRANSPORT or "
-        f"{DEFAULT_TRANSPORT!r}; only meaningful with --shards > 1)",
-    )
-    run.add_argument(
-        "--shard-policy", choices=sorted(PARTITION_POLICIES), default=None,
-        metavar="NAME", dest="shard_policy",
-        help="vertex-placement policy materializing the shard owner map: "
-        f"{', '.join(sorted(PARTITION_POLICIES))} (results are "
-        "bit-identical across policies; default: 'mod', the paper's "
-        "mapping; only meaningful with --shards > 1)",
-    )
-    run.add_argument(
         "--adjacency", choices=sorted(ADJACENCY_FORMATS), default=None,
         help="adjacency format for the run's graph (results are "
         "bit-identical across formats; default: $REPRO_ADJ_FORMAT or "
@@ -917,18 +884,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--telemetry", choices=TELEMETRY_LEVELS, default=None,
         help="instrumentation level (default: basic)",
-    )
-    serve.add_argument(
-        "--shards", type=int, default=1, metavar="N",
-        help="shard worker processes for the update phase",
-    )
-    serve.add_argument(
-        "--shard-transport", choices=sorted(SHARD_TRANSPORTS), default=None,
-        metavar="NAME", dest="shard_transport",
-    )
-    serve.add_argument(
-        "--shard-policy", choices=sorted(PARTITION_POLICIES), default=None,
-        metavar="NAME", dest="shard_policy",
     )
     serve.add_argument(
         "--adjacency", choices=sorted(ADJACENCY_FORMATS), default=None,

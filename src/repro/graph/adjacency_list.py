@@ -361,68 +361,6 @@ class AdjacencyListGraph(DynamicGraph):
             if changed.any():
                 self._stale_out.update(owners[is_dup][changed].tolist())
 
-    # -- per-direction API (sharded execution) -----------------------------
-    def apply_direction_edges(
-        self,
-        keys: np.ndarray,
-        values: np.ndarray,
-        weights: np.ndarray,
-        *,
-        direction: str,
-    ) -> DirectionStats:
-        """Merge ``key -> value`` edges into one adjacency direction.
-
-        The building block :meth:`apply_batch` is made of, exposed so a
-        shard worker can ingest just the slice of a batch whose *owning*
-        endpoint it holds (out-edges keyed by source, in-edges keyed by
-        destination) — the two directions of one edge generally live on
-        different shards.  Applies edges in stable key-sorted batch order,
-        so per-vertex insertion order (and therefore the resulting
-        :class:`~repro.graph.base.DirectionStats`) is bit-identical to the
-        unsharded ingest of the same slice; like there, only the
-        out-direction takes the tracked path.
-
-        Does **not** touch ``num_edges``/``batches_applied`` bookkeeping;
-        callers composing directions by hand own those.
-        """
-        if direction == "out":
-            return self._apply_direction(
-                self._out, self._deg_out, keys, values, weights, True
-            )
-        if direction == "in":
-            return self._apply_direction(
-                self._in, self._deg_in, keys, values, weights, False
-            )
-        raise ValueError(f"direction must be 'out' or 'in', got {direction!r}")
-
-    def delete_direction_edges(
-        self, keys: np.ndarray, values: np.ndarray, *, direction: str
-    ) -> dict[int, int]:
-        """Remove ``key -> value`` entries from one adjacency direction.
-
-        The single-direction half of :meth:`_delete_edges`, for shard
-        workers that own only one endpoint of a deleted edge.  Because
-        insertions maintain both directions symmetrically, deleting
-        independently per direction removes exactly the edges the coupled
-        serial path would.
-
-        Returns:
-            Per-key removal counts (``{vertex: edges_removed}``), so a
-            coordinator can maintain degree bookkeeping without the dicts.
-        """
-        if direction == "out":
-            hit_keys, __ = self._pop_edges(
-                self._out, self._deg_out, keys, values, True
-            )
-        elif direction == "in":
-            hit_keys, __ = self._pop_edges(
-                self._in, self._deg_in, keys, values, False
-            )
-        else:
-            raise ValueError(f"direction must be 'out' or 'in', got {direction!r}")
-        verts, counts = np.unique(hit_keys, return_counts=True)
-        return dict(zip(verts.tolist(), counts.tolist()))
-
     def _pop_edges(
         self,
         adjacency: dict[int, dict[int, float]],

@@ -33,17 +33,6 @@ def read_only(array: np.ndarray) -> np.ndarray:
     return view
 
 
-def _view_degrees(view, num_vertices: int) -> np.ndarray:
-    """Per-vertex entry counts of a vertex -> {neighbor: weight} mapping."""
-    degrees = np.zeros(num_vertices, dtype=np.int64)
-    if len(view):
-        keys = np.fromiter(view.keys(), dtype=np.int64, count=len(view))
-        degrees[keys] = np.fromiter(
-            map(len, view.values()), dtype=np.int64, count=len(view)
-        )
-    return read_only(degrees)
-
-
 @dataclass
 class GraphDelta:
     """Changes to the out-adjacency since the last snapshot.
@@ -249,17 +238,14 @@ class DynamicGraph(abc.ABC):
         out_adj, __ = self.adjacency_views()
         self.num_edges = sum(map(len, out_adj.values()))
 
+    @abc.abstractmethod
     def out_degrees(self) -> np.ndarray:
-        """Read-only int64 out-degree of every vertex (length ``num_vertices``).
+        """Read-only int64 out-degree of every vertex (length ``num_vertices``),
+        returned without copying the maintained degree array."""
 
-        Structures that maintain a degree array return it without copying;
-        this fallback counts the :meth:`adjacency_views` mappings.
-        """
-        return _view_degrees(self.adjacency_views()[0], self.num_vertices)
-
+    @abc.abstractmethod
     def in_degrees(self) -> np.ndarray:
         """Read-only int64 in-degree of every vertex; see :meth:`out_degrees`."""
-        return _view_degrees(self.adjacency_views()[1], self.num_vertices)
 
     # -- shared helpers ----------------------------------------------------
     def out_degree(self, v: int) -> int:

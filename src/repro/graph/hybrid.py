@@ -27,7 +27,7 @@ Every observable contract of :class:`AdjacencyListGraph` is preserved
 bit-for-bit:
 
 * :class:`~repro.graph.base.DirectionStats` equal the dict graph's exactly
-  (golden parity + sharded parity hold under this format);
+  (golden parity holds under this format);
 * per-vertex *dict insertion order* is the pool storage order, so
   materialized adjacency dicts (and the CSR snapshots built from them)
   iterate identically to the dict graph's — the float-accumulating compute
@@ -1090,43 +1090,19 @@ class HybridAdjacencyGraph(DynamicGraph):
             d.pool_dst[pos] = moved_dst
             d.pool_w[pos] = moved_w
 
-    # -- per-direction API (sharded execution) --------------------------------
-    def apply_direction_edges(
-        self,
-        keys: np.ndarray,
-        values: np.ndarray,
-        weights: np.ndarray,
-        *,
-        direction: str,
-    ) -> DirectionStats:
-        """Merge ``key -> value`` edges into one adjacency direction.
-
-        Same contract as
-        :meth:`AdjacencyListGraph.apply_direction_edges`: bit-identical
-        :class:`~repro.graph.base.DirectionStats` for the same slice, no
-        ``num_edges``/``batches_applied`` bookkeeping.
-        """
-        if direction == "out":
-            return self._apply_direction(self._outd, "out", keys, values, weights)
-        if direction == "in":
-            return self._apply_direction(self._ind, "in", keys, values, weights)
-        raise ValueError(f"direction must be 'out' or 'in', got {direction!r}")
-
     # -- deletions ------------------------------------------------------------
     def _delete_direction(
         self, d: _Direction, direction: str, keys: np.ndarray, values: np.ndarray
-    ) -> tuple[dict[int, int], np.ndarray, np.ndarray]:
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Remove unique ``key -> value`` pairs from one direction.
 
-        Returns per-key removal counts plus the (owner, target) arrays of
-        the pairs actually removed, so :meth:`_delete_edges` can mirror the
-        dict graph's "remove the in-entry only when the out-entry existed"
-        coupling exactly.
+        Returns the (owner, target) arrays of the pairs actually removed,
+        so :meth:`_delete_edges` can mirror the dict graph's "remove the
+        in-entry only when the out-entry existed" coupling exactly.
         """
-        removed: dict[int, int] = {}
         none = np.empty(0, dtype=np.int64)
         if len(keys) == 0:
-            return removed, none, none
+            return none, none
         korder = _key_order(keys, self.num_vertices)
         ks = keys[korder]
         vs = values[korder]
@@ -1154,7 +1130,6 @@ class HybridAdjacencyGraph(DynamicGraph):
                     hhit[i] = True
                     if track:
                         self._stale_out.add(u)
-                    removed[u] = removed.get(u, 0) + 1
             if hhit.any():
                 rem_owner_parts.append(ho[hhit])
                 rem_target_parts.append(ht[hhit])
@@ -1193,12 +1168,6 @@ class HybridAdjacencyGraph(DynamicGraph):
                 d.pool_w[dest[keep_old]] = d.pool_w[gidx][keep_old]
                 d.deg[dverts] = kept
                 hit_verts = dverts[rem_counts > 0]
-                removed.update(
-                    zip(
-                        hit_verts.tolist(),
-                        rem_counts[rem_counts > 0].tolist(),
-                    )
-                )
                 if track:
                     self._stale_out.update(hit_verts.tolist())
                 if d.dict_cache:
@@ -1206,11 +1175,10 @@ class HybridAdjacencyGraph(DynamicGraph):
                         d.dict_cache.pop(v, None)
         if rem_owner_parts:
             return (
-                removed,
                 np.concatenate(rem_owner_parts),
                 np.concatenate(rem_target_parts),
             )
-        return removed, none, none
+        return none, none
 
     def _dedup_pairs(
         self,
@@ -1237,24 +1205,6 @@ class HybridAdjacencyGraph(DynamicGraph):
         keep[sidx[lorder[first]]] = True
         return keep
 
-    def delete_direction_edges(
-        self, keys: np.ndarray, values: np.ndarray, *, direction: str
-    ) -> dict[int, int]:
-        """Remove ``key -> value`` entries from one adjacency direction.
-
-        Same contract as
-        :meth:`AdjacencyListGraph.delete_direction_edges`; in-batch repeats
-        of a pair delete once, like the dict graph's sequential loop.
-        """
-        if direction == "out":
-            d = self._outd
-        elif direction == "in":
-            d = self._ind
-        else:
-            raise ValueError(f"direction must be 'out' or 'in', got {direction!r}")
-        removed, _, _ = self._delete_direction(d, direction, keys, values)
-        return removed
-
     def _delete_edges(self, src: np.ndarray, dst: np.ndarray) -> int:
         """Remove listed edges (both directions); returns edges removed.
 
@@ -1262,12 +1212,10 @@ class HybridAdjacencyGraph(DynamicGraph):
         existed, matching the dict graph's coupled loop even if external
         mutation left the directions asymmetric.
         """
-        removed, rem_src, rem_dst = self._delete_direction(
-            self._outd, "out", src, dst
-        )
+        rem_src, rem_dst = self._delete_direction(self._outd, "out", src, dst)
         if len(rem_src):
             self._delete_direction(self._ind, "in", rem_dst, rem_src)
-        return sum(removed.values())
+        return len(rem_src)
 
     def apply_batch(self, batch: Batch) -> BatchUpdateStats:
         """Ingest a batch: all insertions first, then deletions."""

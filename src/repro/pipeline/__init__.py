@@ -7,14 +7,7 @@ from .executor import CellExecutionError, CellResult, CellSpec, run_matrix
 from .latency import LatencyStats, latency_stats, reaction_latencies
 from .metrics import BatchMetrics, RunMetrics
 from .modes import MODE_ALIASES, MODES, resolve_mode
-from .partition import (
-    PARTITION_POLICIES,
-    PartitionPolicy,
-    build_owner_map,
-    register_policy,
-)
 from .runner import ALGORITHMS, BatchContext, StreamingPipeline
-from .transport import SHARD_TRANSPORTS, ShardTransport, register_transport
 from .tracing import TraceEvent, TraceWriter, read_trace
 from .workloads import DEFAULT_BATCH_CAPS, Workload, workload_matrix
 
@@ -34,13 +27,6 @@ __all__ = [
     "MODE_ALIASES",
     "MODES",
     "resolve_mode",
-    "PARTITION_POLICIES",
-    "PartitionPolicy",
-    "build_owner_map",
-    "register_policy",
-    "SHARD_TRANSPORTS",
-    "ShardTransport",
-    "register_transport",
     "ALGORITHMS",
     "BatchContext",
     "StreamingPipeline",

@@ -43,7 +43,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from ..errors import CheckpointError
+from ..errors import CheckpointError, ConfigurationError
+from .config import drop_retired_keys
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .runner import StreamingPipeline
@@ -65,44 +66,6 @@ _MAGIC = b"REPRO-CKPT\n"
 #: handle (the resuming process keeps its own), and ``run_config`` is the
 #: *identity* of the run — it lives in the header for validation instead.
 _EXCLUDED_STATE = frozenset({"trace", "run_config"})
-
-
-def _check_shard_placement(current_graph, restored_graph) -> None:
-    """Reject a resume whose shard placement differs from the checkpoint's.
-
-    The config comparison already catches ``num_shards``/``shard_policy``
-    mismatches for config-built pipelines; this guard also covers
-    hand-built pipelines and custom owner maps, where only the materialized
-    map itself is the truth.  The restored graph routes every batch through
-    the owner map it was checkpointed with, so resuming "under" a different
-    placement would silently ignore the requested one at best.
-    """
-    current = getattr(current_graph, "owner_map", None)
-    restored = getattr(restored_graph, "owner_map", None)
-    if current is None and restored is None:
-        return
-    if current is None or restored is None:
-        raise CheckpointError(
-            "checkpointed and current pipelines disagree on sharding: one "
-            "is sharded and the other is not"
-        )
-    if current_graph.num_shards != restored_graph.num_shards:
-        raise CheckpointError(
-            f"checkpoint was taken with num_shards="
-            f"{restored_graph.num_shards}, current pipeline has "
-            f"num_shards={current_graph.num_shards}"
-        )
-    import numpy as np
-
-    if not np.array_equal(current, restored):
-        from .partition import owner_map_checksum
-
-        raise CheckpointError(
-            "checkpoint was taken under a different shard placement "
-            f"(owner map crc32 {owner_map_checksum(restored)} != current "
-            f"{owner_map_checksum(current)}); resume with the same "
-            "shard_policy / owner map"
-        )
 
 
 def checkpoint_path(directory: str | Path, cursor: int) -> Path:
@@ -192,12 +155,6 @@ class PipelineCheckpoint:
             "abr": engine.abr.describe_state(),
             "oca": pipeline.oca.describe_state() if pipeline.oca else None,
         }
-        describe_shards = getattr(pipeline.graph, "describe_shards", None)
-        if describe_shards is not None:
-            # Placement identity (shard count, transport, policy, owner-map
-            # crc32) rides in the header so a resume under a different
-            # placement is diagnosable from `head -2` alone.
-            summary["shards"] = describe_shards()
         return cls(
             cursor=pipeline._cursor,
             batches_done=pipeline.metrics.num_batches,
@@ -214,14 +171,22 @@ class PipelineCheckpoint:
         :class:`~repro.pipeline.config.RunConfig` the dicts are compared
         and a mismatch raises, because silently continuing a stream under
         different parameters is exactly the corruption checkpoints exist
-        to prevent.
+        to prevent.  Headers written before the sharded runtime was removed
+        carry its three fields; a one-shard header still resumes, a sharded
+        one is refused here, before its payload is unpickled.
 
         Returns:
             The same ``pipeline`` object, for chaining.
         """
+        checkpointed = self.config
+        if checkpointed is not None:
+            try:
+                checkpointed = drop_retired_keys(checkpointed)
+            except ConfigurationError as exc:
+                raise CheckpointError(f"cannot resume: {exc}") from exc
         current = pipeline.run_config
-        if current is not None and self.config is not None:
-            if current.to_dict() != self.config:
+        if current is not None and checkpointed is not None:
+            if current.to_dict() != checkpointed:
                 raise CheckpointError(
                     "checkpoint was taken under a different run config; "
                     f"checkpointed={self.config!r} current={current.to_dict()!r}"
@@ -232,7 +197,6 @@ class PipelineCheckpoint:
             raise CheckpointError(
                 f"checkpoint payload is corrupt or unreadable: {exc}"
             ) from exc
-        _check_shard_placement(pipeline.graph, state.get("graph"))
         trace = pipeline.trace
         pipeline.__dict__.update(state)
         pipeline.trace = trace

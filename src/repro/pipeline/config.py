@@ -31,15 +31,13 @@ from ..telemetry.core import TELEMETRY_LEVELS, make_telemetry
 from ..update.abr import ABRConfig
 from ..update.strategies import resolve_strategy
 from .modes import resolve_mode
-from .partition import PARTITION_POLICIES
-from .transport import SHARD_TRANSPORTS, resolve_shard_transport
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..datasets.profiles import DatasetProfile
     from .executor import CellSpec
     from .runner import StreamingPipeline
 
-__all__ = ["RunConfig", "MACHINE_NAMES"]
+__all__ = ["RunConfig", "MACHINE_NAMES", "drop_retired_keys"]
 
 #: Named machines ``RunConfig.machine`` may reference.  ``"auto"`` resolves
 #: to the simulated CMP for HAU-capable modes (Table 3's normalization) and
@@ -55,6 +53,29 @@ _NESTED_FIELDS: dict[str, type] = {
     "abr": ABRConfig,
     "oca": OCAConfig,
 }
+
+#: Fields of the retired sharded runtime that older checkpoint headers and
+#: ``best_config.json`` files still carry.
+_RETIRED_KEYS = ("num_shards", "shard_transport", "shard_policy")
+
+
+def drop_retired_keys(data: dict) -> dict:
+    """``data`` without the retired sharding fields of older configs.
+
+    At one shard those fields changed nothing (transport and policy were
+    ignored), so such a config still names a valid serial run.
+
+    Raises:
+        ConfigurationError: the config asked for more than one shard,
+            which no runtime can honour any more.
+    """
+    num_shards = data.get("num_shards", 1)
+    if num_shards != 1:
+        raise ConfigurationError(
+            f"config has num_shards={num_shards!r}, but the sharded runtime "
+            "was removed; only serial (num_shards=1) configs still load"
+        )
+    return {k: v for k, v in data.items() if k not in _RETIRED_KEYS}
 
 
 @dataclass(frozen=True)
@@ -79,22 +100,6 @@ class RunConfig:
         telemetry: instrumentation level — ``"off"`` (no-op backend),
             ``"basic"`` (counters/gauges/decision ledger) or ``"full"``
             (adds wall-clock spans and histograms).
-        num_shards: vertex-partitioned shard worker processes the single
-            run's update phase fans out over (1 = serial in-process; see
-            :mod:`repro.pipeline.sharding`).  Results are bit-identical at
-            any shard count.
-        shard_transport: how the coordinator reaches its shard workers —
-            ``"inproc"`` (same-process), ``"shm"`` (pipes + SharedMemory,
-            default) or ``"tcp"`` (length-prefixed sockets); see
-            :data:`~repro.pipeline.transport.SHARD_TRANSPORTS`.  Ignored
-            when ``num_shards == 1``; results are bit-identical across
-            transports.
-        shard_policy: vertex-placement policy materializing the owner map
-            — ``"mod"`` (the paper's §4.4 mapping, default), ``"hash"`` or
-            ``"greedy"``; see
-            :data:`~repro.pipeline.partition.PARTITION_POLICIES`.  Ignored
-            when ``num_shards == 1``; results are bit-identical across
-            policies (placement trades communication, never correctness).
         adjacency: adjacency-format name (see
             :data:`~repro.graph.formats.ADJACENCY_FORMATS`) — ``"dict"``
             per-vertex dicts or ``"hybrid"`` degree-adaptive pooled
@@ -118,10 +123,7 @@ class RunConfig:
     abr: ABRConfig | None = None
     oca: OCAConfig | None = None
     telemetry: str = "off"
-    num_shards: int = 1
     adjacency: str = "dict"
-    shard_transport: str = "shm"
-    shard_policy: str = "mod"
 
     def __post_init__(self) -> None:
         get_algorithm(self.algorithm)  # raises ConfigurationError if unknown
@@ -145,26 +147,10 @@ class RunConfig:
             raise ConfigurationError(
                 f"batch_size must be >= 1, got {self.batch_size}"
             )
-        if self.num_shards < 1:
-            # 0 would otherwise survive until the owner map is materialized
-            # (ZeroDivisionError) deep inside pipeline construction.
-            raise ConfigurationError(
-                f"num_shards must be >= 1, got {self.num_shards}"
-            )
         if self.adjacency not in ADJACENCY_FORMATS:
             raise ConfigurationError(
                 f"adjacency must be one of {sorted(ADJACENCY_FORMATS)}, "
                 f"got {self.adjacency!r}"
-            )
-        if self.shard_transport not in SHARD_TRANSPORTS:
-            raise ConfigurationError(
-                f"shard_transport must be one of {sorted(SHARD_TRANSPORTS)}, "
-                f"got {self.shard_transport!r}"
-            )
-        if self.shard_policy not in PARTITION_POLICIES:
-            raise ConfigurationError(
-                f"shard_policy must be one of {sorted(PARTITION_POLICIES)}, "
-                f"got {self.shard_policy!r}"
             )
 
     # -- derived views --------------------------------------------------------
@@ -187,8 +173,12 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        """Inverse of :meth:`to_dict`; validates like the constructor."""
-        kwargs = dict(data)
+        """Inverse of :meth:`to_dict`; validates like the constructor.
+
+        Older dicts with the retired sharding fields load when they ask
+        for one shard (see :func:`drop_retired_keys`).
+        """
+        kwargs = drop_retired_keys(data)
         for name, config_cls in _NESTED_FIELDS.items():
             value = kwargs.get(name)
             if isinstance(value, dict):
@@ -214,14 +204,9 @@ class RunConfig:
             use_oca=args.oca,
             num_batches=args.num_batches,
             telemetry=getattr(args, "telemetry", None) or "off",
-            num_shards=getattr(args, "shards", None) or 1,
             adjacency=resolve_adjacency_format(
                 getattr(args, "adjacency", None)
             ),
-            shard_transport=resolve_shard_transport(
-                getattr(args, "shard_transport", None)
-            ),
-            shard_policy=getattr(args, "shard_policy", None) or "mod",
         )
 
     @classmethod
@@ -232,8 +217,7 @@ class RunConfig:
         None and the profile's stream generator is never consulted — the
         service feeds externally built batches through
         :meth:`~repro.pipeline.runner.StreamingPipeline.step`'s ``batch``
-        argument.  The dataset only contributes the vertex universe (and
-        the partition-policy stream sample for sharded serving).
+        argument.  The dataset only contributes the vertex universe.
         """
         return cls(
             dataset=args.dataset,
@@ -242,14 +226,9 @@ class RunConfig:
             mode=args.mode,
             num_batches=None,
             telemetry=getattr(args, "telemetry", None) or "basic",
-            num_shards=getattr(args, "shards", None) or 1,
             adjacency=resolve_adjacency_format(
                 getattr(args, "adjacency", None)
             ),
-            shard_transport=resolve_shard_transport(
-                getattr(args, "shard_transport", None)
-            ),
-            shard_policy=getattr(args, "shard_policy", None) or "mod",
         )
 
     @classmethod
@@ -318,16 +297,7 @@ class RunConfig:
             kwargs["costs"] = self.costs
         if self.compute_costs is not None:
             kwargs["compute_costs"] = self.compute_costs
-        pipeline_cls = StreamingPipeline
-        if self.num_shards > 1:
-            from .sharding import ShardedPipeline
-
-            pipeline_cls = ShardedPipeline
-            kwargs["num_shards"] = self.num_shards
-            kwargs["shard_transport"] = self.shard_transport
-            kwargs["shard_policy"] = self.shard_policy
-        kwargs["adjacency"] = self.adjacency
-        pipeline = pipeline_cls(
+        pipeline = StreamingPipeline(
             profile,
             self.batch_size,
             algorithm=self.algorithm,
@@ -344,6 +314,7 @@ class RunConfig:
             sssp_source=self.sssp_source,
             trace=trace,
             telemetry=telemetry,
+            adjacency=self.adjacency,
             **kwargs,
         )
         # Checkpoints embed the originating config so resume can reject a
@@ -354,12 +325,6 @@ class RunConfig:
     def run(self, num_batches: int | None = None):
         """Build the pipeline and run it (``num_batches`` overrides the
         config's); returns the run's RunMetrics."""
-        pipeline = self.build_pipeline()
-        try:
-            return pipeline.run(
-                self.num_batches if num_batches is None else num_batches
-            )
-        finally:
-            close = getattr(pipeline, "close", None)
-            if close is not None:  # sharded pipelines own worker processes
-                close()
+        return self.build_pipeline().run(
+            self.num_batches if num_batches is None else num_batches
+        )

@@ -80,9 +80,8 @@ def mp_context() -> multiprocessing.context.BaseContext:
       long-lived server process would not observe environment variables set
       after it starts, which the fault-injection hooks rely on.
 
-    Every worker process in the library — matrix-cell pool workers and
-    shard workers alike — must come from this context so a run's process
-    semantics are uniform and testable under both methods.
+    Every matrix-cell pool worker must come from this context so a run's
+    process semantics are uniform and testable under both methods.
     """
     name = os.environ.get("REPRO_MP_START", "").strip().lower()
     if name:
@@ -240,9 +239,6 @@ def _run_cell(item) -> CellResult:
         # rerun over the same root restores it without recomputing batches.
         pipeline.save_checkpoint(item.checkpoint_dir, keep=item.checkpoint_keep)
     timelines = tuple(pipeline.timeline_snapshots())
-    close = getattr(pipeline, "close", None)
-    if close is not None:
-        close()
     return CellResult(
         spec=config.to_cell_spec(),
         num_batches=metrics.num_batches,

@@ -1,230 +1,159 @@
-"""Pluggable shard-placement policies: the owner-map registry.
+"""Offline placement analysis: how many edges a vertex placement cuts.
 
-Sharded execution needs exactly one fact per vertex: *which shard owns it*.
-The paper hard-codes ``v mod N`` (Section 4.4) because its HAU routes tasks
-with an on-chip modulo; once shards are OS processes (or other hosts) the
-mapping is a free parameter, and streaming-partitioning research — Le
-Merrer et al.'s stream (re)partitioning, BuffCut's prioritized buffered
-partitioning (both in PAPERS.md) — shows placement choice moves the
-cut-edge fraction (communication volume) by integer factors under skew.
+The paper's HAU routes every update task to core ``src mod N`` (Section
+4.4), so tasks that touch the same vertex land on the same core and no two
+cores write the same adjacency; the HAU simulator models that mapping
+(Fig. 19/20).  This module scores such a placement offline.  An *owner
+map* is one integer array of length ``num_vertices`` mapping vertex id ->
+owning part, and :func:`cut_edge_fraction` counts the edges whose two
+endpoints land in different parts: the traffic a runtime split along the
+map would pay.  Streaming-partitioning research — Le Merrer et al.'s
+stream (re)partitioning, BuffCut's prioritized buffered partitioning (both
+in PAPERS.md) — shows the placement moves that fraction by integer factors
+under skew.
 
-Every policy here materializes an explicit **owner map**: one integer array
-of length ``num_vertices`` mapping vertex id -> owning shard.  The map is
-the single source of truth — the sharded runtime slices batches, routes
-fetches and validates checkpoints through it, never through scattered
-``v % num_shards`` arithmetic (a regression test enforces that this module
-is the only place such a modulo exists).  Because per-shard update results
-merge through a placement-oblivious stable sort, *any* total owner map
-yields bit-identical RunMetrics; policies trade communication, never
-correctness.
+Two placements:
 
-Built-in policies:
-
-* ``mod`` — the paper's ``v mod N`` (default; matches the HAU routing).
-* ``hash`` — splitmix64-mixed placement; decorrelates shard load from any
-  structure in the vertex-id space (e.g. ids assigned by crawl order).
-* ``greedy`` — linear deterministic greedy streaming partitioner (à la
-  Fennel/LDG as used by Le Merrer et al. and BuffCut): edges stream once,
-  each newly seen vertex joins the shard holding its neighbor unless that
-  shard exceeds a balance-slack capacity; unseen vertices back-fill toward
-  perfect balance.  Cuts co-accessed edges apart far less often than
+* :func:`mod_owner_map` — the paper's ``v mod N``;
+* :func:`greedy_owner_map` — a linear deterministic greedy streaming
+  partitioner (à la Fennel/LDG as used by Le Merrer et al. and BuffCut):
+  edges stream once, each newly seen vertex joins the part holding its
+  neighbor unless that part exceeds a balance-slack capacity, and unseen
+  vertices back-fill toward perfect balance.  It cuts far fewer edges than
   ``mod`` on hub-heavy streams.
 
-Add policies from anywhere with :func:`register_policy`; registered names
-automatically become valid ``RunConfig.shard_policy`` values and CLI
-``--shard-policy`` choices.
+Both maps are total (every vertex owned by exactly one part, every part
+nonempty whenever ``num_vertices >= num_parts``) and deterministic.
 """
 
 from __future__ import annotations
-
-import zlib
 
 import numpy as np
 
 from ..errors import ConfigurationError
 
 __all__ = [
-    "PARTITION_POLICIES",
-    "DEFAULT_POLICY",
     "GREEDY_SAMPLE_EDGES",
-    "PartitionPolicy",
-    "build_owner_map",
+    "GREEDY_SLACK",
     "cut_edge_fraction",
-    "owner_map_checksum",
-    "register_policy",
-    "resolve_partition_policy",
-    "shard_owner",
-    "validate_owner_map",
+    "greedy_owner_map",
+    "mod_owner_map",
 ]
 
-#: Default placement — the paper's mapping.
-DEFAULT_POLICY = "mod"
-
-#: Edge budget the greedy policy's stream sample is capped at; beyond this
-#: the assignment quality plateaus while the (Python-loop) pass cost grows.
+#: Edge budget the greedy pass reads from the head of the stream; beyond
+#: this the assignment quality plateaus while the (Python-loop) pass cost
+#: grows.
 GREEDY_SAMPLE_EDGES = 200_000
 
-
-def shard_owner(vertices: np.ndarray, num_shards: int) -> np.ndarray:
-    """Owner shard of each vertex under the paper's ``v mod N`` mapping.
-
-    This is the *only* place in the codebase that modulo-maps raw vertex
-    ids to shards; everything else reads a materialized owner map.
-    """
-    return vertices % num_shards
+#: How far above a fair share (``n/N``) the greedy pass may fill a part.
+GREEDY_SLACK = 0.1
 
 
-def owner_map_checksum(owner_map: np.ndarray) -> int:
-    """Stable crc32 of an owner map (placement identity for checkpoints)."""
-    return zlib.crc32(np.ascontiguousarray(owner_map, dtype=np.int64).tobytes())
+def _owner_dtype(num_parts: int) -> np.dtype:
+    """Smallest integer dtype that can hold every part id (validates
+    ``num_parts``)."""
+    if num_parts < 1:
+        raise ConfigurationError(f"num_parts must be >= 1, got {num_parts}")
+    return np.min_scalar_type(num_parts - 1)
 
 
-def _owner_dtype(num_shards: int) -> np.dtype:
-    """Smallest integer dtype that can hold every shard id."""
-    return np.min_scalar_type(max(num_shards - 1, 0))
+def mod_owner_map(num_vertices: int, num_parts: int) -> np.ndarray:
+    """The paper's Section 4.4 mapping: part ``k`` owns ``v % N == k``."""
+    dtype = _owner_dtype(num_parts)
+    return (np.arange(num_vertices, dtype=np.int64) % num_parts).astype(dtype)
 
 
-class PartitionPolicy:
-    """One vertex-placement procedure.
-
-    Subclasses set :attr:`name` and implement :meth:`owner_map`.  Policies
-    are stateless: everything they need arrives per call, so one instance
-    serves every graph.
-
-    Attributes:
-        name: registry key; doubles as the ``RunConfig.shard_policy`` value
-            and the CLI ``--shard-policy`` name.
-        uses_edges: True if the policy improves with an edge sample —
-            :class:`~repro.pipeline.sharding.ShardedPipeline` then peeks at
-            the head of the (deterministically regenerable) stream and
-            passes it in.  Policies must still produce a valid map with
-            ``edges=None``.
-    """
-
-    name: str = ""
-    uses_edges: bool = False
-
-    def owner_map(
-        self,
-        num_vertices: int,
-        num_shards: int,
-        edges: tuple[np.ndarray, np.ndarray] | None = None,
-    ) -> np.ndarray:
-        """Materialize the owner map.
-
-        Args:
-            num_vertices: vertex id universe (ids are ``0..num_vertices-1``).
-            num_shards: shard count (>= 1).
-            edges: optional ``(src, dst)`` arrays sampled from the stream,
-                in arrival order; ignored by input-oblivious policies.
-
-        Returns:
-            Integer array of shape ``(num_vertices,)``, each value in
-            ``[0, num_shards)`` — a total partition.  Deterministic: the
-            same inputs always yield the same map (checkpoint resume
-            compares placements byte-for-byte).
-        """
-        raise NotImplementedError
-
-
-#: Registry: policy name -> policy instance.
-PARTITION_POLICIES: dict[str, PartitionPolicy] = {}
-
-
-def register_policy(cls: type[PartitionPolicy]) -> type[PartitionPolicy]:
-    """Class decorator adding a policy to the registry (last wins)."""
-    if not getattr(cls, "name", ""):
-        raise ConfigurationError(
-            f"partition policy {cls.__name__} must define a non-empty name"
-        )
-    PARTITION_POLICIES[cls.name] = cls()
-    return cls
-
-
-def resolve_partition_policy(policy=None) -> PartitionPolicy:
-    """Map a policy name (or instance, or None = default) to an instance."""
-    if isinstance(policy, PartitionPolicy):
-        return policy
-    name = policy or DEFAULT_POLICY
-    try:
-        return PARTITION_POLICIES[name]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown shard policy {name!r}; registered: "
-            f"{', '.join(sorted(PARTITION_POLICIES))}"
-        ) from None
-
-
-def validate_owner_map(
-    owner_map: np.ndarray, num_vertices: int, num_shards: int
-) -> np.ndarray:
-    """Check an owner map is a total function onto valid shard ids.
-
-    Returns the map as a contiguous array of the canonical compact dtype.
-    """
-    owner_map = np.ascontiguousarray(owner_map)
-    if owner_map.shape != (num_vertices,):
-        raise ConfigurationError(
-            f"owner map must have shape ({num_vertices},), "
-            f"got {owner_map.shape}"
-        )
-    if not np.issubdtype(owner_map.dtype, np.integer):
-        raise ConfigurationError(
-            f"owner map must be an integer array, got dtype {owner_map.dtype}"
-        )
-    if len(owner_map) and (
-        int(owner_map.min()) < 0 or int(owner_map.max()) >= num_shards
-    ):
-        raise ConfigurationError(
-            f"owner map values must lie in [0, {num_shards}), found "
-            f"[{int(owner_map.min())}, {int(owner_map.max())}]"
-        )
-    return owner_map.astype(_owner_dtype(num_shards), copy=False)
-
-
-def build_owner_map(
-    policy,
+def greedy_owner_map(
     num_vertices: int,
-    num_shards: int,
-    edges: tuple[np.ndarray, np.ndarray] | None = None,
+    num_parts: int,
+    src: np.ndarray,
+    dst: np.ndarray,
 ) -> np.ndarray:
-    """Resolve ``policy`` and materialize its validated owner map."""
-    if num_shards < 1:
-        raise ConfigurationError(f"num_shards must be >= 1, got {num_shards}")
-    owners = resolve_partition_policy(policy).owner_map(
-        num_vertices, num_shards, edges=edges
-    )
-    return validate_owner_map(owners, num_vertices, num_shards)
+    """Streaming greedy placement with a balance slack (LDG-style).
+
+    One pass over the first :data:`GREEDY_SAMPLE_EDGES` edges, in arrival
+    order:
+
+    * both endpoints unseen  -> both join the least-loaded part (the new
+      edge becomes internal for free);
+    * one endpoint unseen    -> it joins its neighbor's part, unless that
+      part is at its slack capacity (then least-loaded);
+    * both seen              -> placement is already decided; do nothing.
+
+    Vertices absent from the sample back-fill toward perfect balance in id
+    order, least-loaded parts first.  :data:`GREEDY_SLACK` bounds skew: no
+    part's sample-assigned load exceeds ``ceil(n/N * (1 + GREEDY_SLACK))``.
+    """
+    dtype = _owner_dtype(num_parts)
+    owners = np.full(num_vertices, -1, dtype=np.int64)
+    loads = [0] * num_parts
+    if num_parts > 1:
+        cap = max(
+            1, int(np.ceil(num_vertices * (1.0 + GREEDY_SLACK) / num_parts))
+        )
+        n_sample = min(len(src), GREEDY_SAMPLE_EDGES)
+        for u, v in zip(src[:n_sample].tolist(), dst[:n_sample].tolist()):
+            ou, ov = owners[u], owners[v]
+            if ou >= 0 and ov >= 0:
+                continue
+            if ou >= 0:  # v joins u's part if slack allows
+                s = ou if loads[ou] < cap else loads.index(min(loads))
+                owners[v] = s
+                loads[s] += 1
+            elif ov >= 0:  # u joins v's part if slack allows
+                s = ov if loads[ov] < cap else loads.index(min(loads))
+                owners[u] = s
+                loads[s] += 1
+            else:  # fresh edge: co-locate both endpoints
+                s = loads.index(min(loads))
+                owners[u] = s
+                loads[s] += 1
+                if u != v:
+                    owners[v] = s
+                    loads[s] += 1
+    # Back-fill unseen vertices toward perfect balance: every part is
+    # topped up to its fair share, least-loaded first, in vertex order.
+    remaining = np.flatnonzero(owners < 0)
+    if len(remaining):
+        loads_arr = np.array(loads, dtype=np.int64)
+        base, extra = divmod(num_vertices, num_parts)
+        target = np.full(num_parts, base, dtype=np.int64)
+        # Extra slots go to the least-loaded parts (stable order).
+        target[np.argsort(loads_arr, kind="stable")[:extra]] += 1
+        deficit = np.maximum(target - loads_arr, 0)
+        fill = np.repeat(np.arange(num_parts), deficit)
+        if len(fill) < len(remaining):  # greedy overfilled some part
+            pad = np.arange(len(remaining) - len(fill)) % num_parts
+            fill = np.concatenate([fill, pad])
+        owners[remaining] = fill[: len(remaining)]
+    return _fill_empty_parts(owners.astype(dtype), num_parts)
 
 
 def cut_edge_fraction(
     owner_map: np.ndarray, src: np.ndarray, dst: np.ndarray
 ) -> float:
-    """Fraction of edges whose endpoints live on different shards.
+    """Fraction of edges whose endpoints live in different parts.
 
     The communication proxy every streaming partitioner minimizes: a cut
-    edge's two directions must be applied by two different workers.
+    edge's two directions would be applied by two different workers.
     """
     if len(src) == 0:
         return 0.0
     return float(np.mean(owner_map[src] != owner_map[dst]))
 
 
-def _ensure_all_shards_nonempty(
-    owners: np.ndarray, num_shards: int
-) -> np.ndarray:
-    """Move vertices from the fullest shards into any empty ones.
+def _fill_empty_parts(owners: np.ndarray, num_parts: int) -> np.ndarray:
+    """Move vertices from the fullest parts into any empty ones.
 
-    Guarantees the documented invariant that every shard owns at least one
-    vertex whenever ``num_vertices >= num_shards`` — a worker with an empty
-    partition is legal but useless, and hash placement over a tiny universe
-    can otherwise produce one.  Deterministic: empty shards fill in
-    ascending id order, each taking the highest-id vertex of the currently
-    fullest shard (ties broken toward the lowest shard id).
+    Greedy co-location can leave a part empty on a tiny universe (one
+    fresh edge places both of its endpoints together).  Deterministic:
+    empty parts fill in ascending id order, each taking the highest-id
+    vertex of the currently fullest part (ties broken toward the lowest
+    part id).
     """
-    if len(owners) < num_shards:
+    if len(owners) < num_parts:
         return owners
-    loads = np.bincount(owners, minlength=num_shards)
+    loads = np.bincount(owners, minlength=num_parts)
     for empty in np.flatnonzero(loads == 0):
         donor = int(np.argmax(loads))
         victim = int(np.flatnonzero(owners == donor)[-1])
@@ -232,112 +161,3 @@ def _ensure_all_shards_nonempty(
         loads[donor] -= 1
         loads[empty] += 1
     return owners
-
-
-# -- built-in policies --------------------------------------------------------
-
-
-@register_policy
-class ModPolicy(PartitionPolicy):
-    """The paper's Section 4.4 mapping: shard ``k`` owns ``v % N == k``."""
-
-    name = "mod"
-
-    def owner_map(self, num_vertices, num_shards, edges=None):
-        vertices = np.arange(num_vertices, dtype=np.int64)
-        return shard_owner(vertices, num_shards).astype(
-            _owner_dtype(num_shards)
-        )
-
-
-@register_policy
-class HashPolicy(PartitionPolicy):
-    """splitmix64-mixed placement: structure-free, PYTHONHASHSEED-stable."""
-
-    name = "hash"
-
-    def owner_map(self, num_vertices, num_shards, edges=None):
-        x = np.arange(num_vertices, dtype=np.uint64)
-        x = x + np.uint64(0x9E3779B97F4A7C15)
-        x ^= x >> np.uint64(30)
-        x *= np.uint64(0xBF58476D1CE4E5B9)
-        x ^= x >> np.uint64(27)
-        x *= np.uint64(0x94D049BB133111EB)
-        x ^= x >> np.uint64(31)
-        owners = (x % np.uint64(num_shards)).astype(_owner_dtype(num_shards))
-        return _ensure_all_shards_nonempty(owners, num_shards)
-
-
-@register_policy
-class GreedyPolicy(PartitionPolicy):
-    """Streaming greedy partitioner with a balance slack (LDG-style).
-
-    One pass over the sampled edge stream, in arrival order:
-
-    * both endpoints unseen  -> both join the least-loaded shard (the new
-      edge becomes internal for free);
-    * one endpoint unseen    -> it joins its neighbor's shard, unless that
-      shard is at its slack capacity (then least-loaded);
-    * both seen              -> placement is already decided; do nothing.
-
-    Vertices absent from the sample back-fill toward perfect balance in id
-    order, least-loaded shards first.  ``slack`` bounds skew: no shard's
-    sample-assigned load exceeds ``ceil(n/N * (1 + slack))``.
-    """
-
-    name = "greedy"
-    uses_edges = True
-
-    def __init__(self, slack: float = 0.1):
-        if slack < 0:
-            raise ConfigurationError(f"slack must be >= 0, got {slack}")
-        self.slack = slack
-
-    def owner_map(self, num_vertices, num_shards, edges=None):
-        owners = np.full(num_vertices, -1, dtype=np.int64)
-        loads = [0] * num_shards
-        if edges is not None and num_shards > 1:
-            cap = max(
-                1, int(np.ceil(num_vertices * (1.0 + self.slack) / num_shards))
-            )
-            src, dst = edges
-            n_sample = min(len(src), GREEDY_SAMPLE_EDGES)
-            own = owners  # local alias: this loop is the hot path
-            for u, v in zip(
-                src[:n_sample].tolist(), dst[:n_sample].tolist()
-            ):
-                ou, ov = own[u], own[v]
-                if ou >= 0 and ov >= 0:
-                    continue
-                if ou >= 0:  # v joins u's shard if slack allows
-                    s = ou if loads[ou] < cap else loads.index(min(loads))
-                    own[v] = s
-                    loads[s] += 1
-                elif ov >= 0:  # u joins v's shard if slack allows
-                    s = ov if loads[ov] < cap else loads.index(min(loads))
-                    own[u] = s
-                    loads[s] += 1
-                else:  # fresh edge: co-locate both endpoints
-                    s = loads.index(min(loads))
-                    own[u] = s
-                    loads[s] += 1
-                    if u != v:
-                        own[v] = s
-                        loads[s] += 1
-        # Back-fill unseen vertices toward perfect balance: every shard is
-        # topped up to its fair share, least-loaded first, in vertex order.
-        remaining = np.flatnonzero(owners < 0)
-        if len(remaining):
-            loads_arr = np.array(loads, dtype=np.int64)
-            base, extra = divmod(num_vertices, num_shards)
-            target = np.full(num_shards, base, dtype=np.int64)
-            # Extra slots go to the least-loaded shards (stable order).
-            target[np.argsort(loads_arr, kind="stable")[:extra]] += 1
-            deficit = np.maximum(target - loads_arr, 0)
-            fill = np.repeat(np.arange(num_shards), deficit)
-            if len(fill) < len(remaining):  # greedy overfilled some shard
-                pad = np.arange(len(remaining) - len(fill)) % num_shards
-                fill = np.concatenate([fill, pad])
-            owners[remaining] = fill[: len(remaining)]
-        owners = owners.astype(_owner_dtype(num_shards))
-        return _ensure_all_shards_nonempty(owners, num_shards)

@@ -166,7 +166,6 @@ class StreamingPipeline:
         trace=None,
         telemetry=None,
         adjacency: str | None = None,
-        run_id: str | None = None,
     ):
         algorithm_cls = get_algorithm(algorithm)
         self.profile = profile
@@ -204,8 +203,8 @@ class StreamingPipeline:
         self.generator = profile.generator(seed=seed)
         self.pr_tolerance = pr_tolerance
         self.pr_max_rounds = pr_max_rounds
-        #: Identifier shared by every process of this run (timeline tracks).
-        self.run_id = run_id or f"{profile.name}-{uuid.uuid4().hex[:8]}"
+        #: Identifier of this run (timeline tracks, heartbeat).
+        self.run_id = f"{profile.name}-{uuid.uuid4().hex[:8]}"
         timeline = getattr(self.telemetry, "timeline", None)
         if timeline is not None:
             timeline.configure(run_id=self.run_id, process="coordinator")
@@ -427,21 +426,12 @@ class StreamingPipeline:
         return path
 
     def timeline_snapshots(self):
-        """Every process's flight-recorder timeline for this run.
+        """This run's flight-recorder timeline, as a list of snapshots.
 
-        The coordinator's own recorder plus — for sharded graphs — the
-        clock-aligned worker timelines (live workers are queried through
-        the transport; after ``close()`` the snapshots harvested at
-        shutdown are returned).  Empty below telemetry level ``full``.
+        Empty below telemetry level ``full``.
         """
-        snapshots = []
         own = self.telemetry.timeline_snapshot()
-        if own is not None:
-            snapshots.append(own)
-        worker_timelines = getattr(self.graph, "worker_timelines", None)
-        if worker_timelines is not None:
-            snapshots.extend(worker_timelines())
-        return snapshots
+        return [] if own is None else [own]
 
     def run(
         self,

@@ -14,8 +14,8 @@ Schema v2 line types (the ``type`` field):
 * ``batch`` — one :class:`TraceEvent` per processed batch.
 * ``timeline`` — one
   :class:`~repro.telemetry.timeline.TimelineSnapshot` document per process
-  of the run (coordinator plus shard workers), written at close when the
-  run recorded a flight-recorder timeline.  ``repro report --timeline``
+  of the run, written at close when the run recorded a flight-recorder
+  timeline.  ``repro report --timeline``
   re-exports these as Chrome trace-event JSON.
 * ``summary`` — last line; a
   :class:`~repro.telemetry.core.TelemetrySnapshot` document (only written

@@ -13,7 +13,7 @@ Architecture (one process, two execution domains):
 * **Driver thread**: pulls cut batches off the queue and feeds them to the
   existing :class:`~repro.pipeline.runner.StreamingPipeline` via
   ``step(batch=...)`` — the same five-stage pipeline the batch CLI runs,
-  so everything (ABR/USC/OCA, telemetry, sharding, checkpoints) works
+  so everything (ABR/USC/OCA, telemetry, checkpoints) works
   unchanged.  Between steps it answers queued queries against the latest
   completed snapshot, writes periodic checkpoints, releases admission
   window space, and beats the heartbeat monitor.
@@ -499,9 +499,6 @@ class ServeServer:
         await loop.run_in_executor(None, self._driver.join)
         if self._server is not None:
             await self._server.wait_closed()
-        close = getattr(self.pipeline, "close", None)
-        if close is not None:  # sharded pipelines own worker processes
-            close()
         self._drained.set()
 
     def _driver_failed(self, exc: BaseException) -> None:

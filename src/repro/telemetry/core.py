@@ -384,8 +384,8 @@ class Telemetry:
         self._full = level == "full"
         self._batch: int | None = None
         # Every full-level backend carries a flight-recorder timeline so
-        # shard/executor workers (built via make_telemetry) participate
-        # without extra plumbing.  Imported lazily to avoid a cycle.
+        # executor workers (built via make_telemetry) participate without
+        # extra plumbing.  Imported lazily to avoid a cycle.
         if self._full:
             from .timeline import TimelineRecorder
             self.timeline = TimelineRecorder()

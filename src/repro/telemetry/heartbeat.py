@@ -5,9 +5,9 @@ close (trace summary, Prometheus textfile), so a long run is a black box
 until it ends.  :class:`HeartbeatMonitor` fixes that: the pipeline calls
 :meth:`HeartbeatMonitor.beat` after every batch and the monitor writes a
 small JSON document — throughput, batch-latency quantiles over a rolling
-window, per-stage latency for the last batch, per-shard load, transport
-bytes, checkpoint age — via a temp file + ``os.replace`` so a concurrent
-reader (``repro top``, a crash post-mortem) never sees a torn file.
+window, per-stage latency for the last batch, checkpoint age — via a temp
+file + ``os.replace`` so a concurrent reader (``repro top``, a crash
+post-mortem) never sees a torn file.
 
 The same beat optionally refreshes the Prometheus textfile in-run, so a
 scraping ``node_exporter`` sees live counters rather than only the
@@ -126,8 +126,8 @@ class HeartbeatMonitor:
 
         Args:
             telemetry: the run's telemetry backend (``snapshot()`` is read
-                for stage spans, shard loads and transport counters; the
-                null backend degrades to throughput-only beats).
+                for stage spans and the ledger drop counter; the null
+                backend degrades to throughput-only beats).
             batch_id: id of the batch that just completed.
             batch_edges: edge events applied by that batch.
             wall_seconds: wall-clock seconds the batch took end to end.
@@ -174,25 +174,6 @@ class HeartbeatMonitor:
             "stages": stages,
         }
         if snapshot is not None:
-            shards = {
-                name[len("partition.load.s"):]: value
-                for name, value in snapshot.counters.items()
-                if name.startswith("partition.load.s")
-            }
-            if shards:
-                payload["shards"] = dict(sorted(shards.items()))
-            transport = {
-                key: snapshot.counters[name]
-                for key, name in (
-                    ("bytes_sent", "transport.bytes_sent"),
-                    ("bytes_received", "transport.bytes_received"),
-                    ("shm_bytes", "transport.shm_bytes"),
-                    ("round_trips", "transport.round_trips"),
-                )
-                if name in snapshot.counters
-            }
-            if transport:
-                payload["transport"] = transport
             dropped = snapshot.counter("ledger.dropped")
             if dropped:
                 payload["ledger_dropped"] = dropped
@@ -290,21 +271,6 @@ def render_heartbeat(data: dict, *, now: float | None = None,
             for name, seconds in sorted(stages.items())
         )
         lines.append(f"  stages (last batch): {rendered}")
-    shards = data.get("shards") or {}
-    if shards:
-        values = [float(v) for v in shards.values()]
-        mean = sum(values) / len(values)
-        lines.append("  shard load (edge-directions):")
-        for name in sorted(shards):
-            load = float(shards[name])
-            ratio = load / mean if mean else 0.0
-            bar = "#" * max(1, min(40, round(20 * ratio)))
-            lines.append(f"    s{name}: {load:>12.0f} {bar}")
-    transport = data.get("transport") or {}
-    if transport:
-        parts = [f"{key}={_rate(float(value))}"
-                 for key, value in sorted(transport.items())]
-        lines.append(f"  transport: {'  '.join(parts)}")
     serve = data.get("serve") or {}
     if serve:
         lag = serve.get("admitted_seq", 0) - serve.get("visible_seq", 0)

@@ -83,43 +83,6 @@ class TraceReport:
             out[e.strategy] = (count + 1, t + e.update_time)
         return out
 
-    # -- sharded-run aggregates (absent counters -> None / {}) ---------------
-    def _counter(self, name: str) -> float | None:
-        if self.summary is None:
-            return None
-        value = self.summary.counters.get(name)
-        return None if value is None else float(value)
-
-    @property
-    def cut_edge_fraction(self) -> float | None:
-        """Fraction of routed edges whose endpoints live on different
-        shards (recorded only by sharded runs)."""
-        edges = self._counter("partition.edges")
-        cut = self._counter("partition.cut_edges")
-        if not edges or cut is None:
-            return None
-        return cut / edges
-
-    def shard_loads(self) -> dict[int, float]:
-        """shard id -> per-shard routed edge-direction load."""
-        if self.summary is None:
-            return {}
-        out: dict[int, float] = {}
-        for name, value in self.summary.counters.items():
-            if name.startswith("partition.load.s"):
-                out[int(name[len("partition.load.s"):])] = float(value)
-        return out
-
-    @property
-    def load_imbalance(self) -> float | None:
-        """max/mean per-shard load — 1.0 is perfect balance."""
-        loads = self.shard_loads()
-        if not loads:
-            return None
-        values = list(loads.values())
-        mean = sum(values) / len(values)
-        return max(values) / mean if mean else None
-
     def batch_wall_seconds(self) -> dict[int, float]:
         """batch id -> wall-clock seconds, from the coordinator's
         flight-recorder ``pipeline.batch`` spans (empty without a
@@ -132,17 +95,6 @@ class TraceReport:
                 if batch_id is not None:
                     out[batch_id] = end - start
         return out
-
-    @property
-    def transport_bytes(self) -> float | None:
-        """Total transport bytes (both directions + shm segments)."""
-        parts = [
-            self._counter("transport.bytes_sent"),
-            self._counter("transport.bytes_received"),
-            self._counter("transport.shm_bytes"),
-        ]
-        present = [p for p in parts if p is not None]
-        return sum(present) if present else None
 
 
 def load_report(path) -> TraceReport:
@@ -295,32 +247,6 @@ def _counter_section(summary: TelemetrySnapshot) -> list[str]:
                          float_format="{:.4g}")]
 
 
-def _partition_section(report: TraceReport) -> list[str]:
-    """Partition quality + transport traffic (sharded runs only)."""
-    cut = report.cut_edge_fraction
-    loads = report.shard_loads()
-    if cut is None and not loads:
-        return []
-    pairs: dict[str, object] = {}
-    edges = report._counter("partition.edges")
-    if edges is not None:
-        pairs["edges routed"] = edges
-    if cut is not None:
-        pairs["cut-edge fraction"] = cut
-    imbalance = report.load_imbalance
-    if imbalance is not None:
-        pairs["load imbalance (max/mean)"] = imbalance
-    for shard in sorted(loads):
-        pairs[f"shard {shard} load (edge-directions)"] = loads[shard]
-    round_trips = report._counter("transport.round_trips")
-    if round_trips is not None:
-        pairs["transport round trips"] = round_trips
-    transport_bytes = report.transport_bytes
-    if transport_bytes is not None:
-        pairs["transport bytes (total)"] = transport_bytes
-    return [render_kv("partition quality / transport", pairs)]
-
-
 def _decision_section(report: TraceReport) -> list[str]:
     summary = report.summary
     lines = ["decision ledger"]
@@ -391,7 +317,6 @@ def render_report(report: TraceReport) -> str:
         sections += _span_section(report.summary)
         sections += _histogram_section(report.summary)
         sections += _counter_section(report.summary)
-    sections += _partition_section(report)
     sections += _anomaly_section(report)
     sections += _decision_section(report)
     return "\n\n".join(sections)
@@ -418,22 +343,6 @@ def render_compare(a: TraceReport, b: TraceReport) -> str:
         _delta_row("rounds deferred", float(a.deferred), float(b.deferred)),
         _delta_row("wall clock (s)", a.wall_seconds, b.wall_seconds),
     ]
-    if a.cut_edge_fraction is not None or b.cut_edge_fraction is not None:
-        rows.append(
-            _delta_row(
-                "cut-edge fraction", a.cut_edge_fraction, b.cut_edge_fraction
-            )
-        )
-    if a.load_imbalance is not None or b.load_imbalance is not None:
-        rows.append(
-            _delta_row(
-                "load imbalance (max/mean)", a.load_imbalance, b.load_imbalance
-            )
-        )
-    if a.transport_bytes is not None or b.transport_bytes is not None:
-        rows.append(
-            _delta_row("transport bytes", a.transport_bytes, b.transport_bytes)
-        )
     strategies_a = a.strategy_breakdown()
     strategies_b = b.strategy_breakdown()
     for name in sorted(set(strategies_a) | set(strategies_b)):

@@ -1,9 +1,9 @@
 """Flight-recorder timeline: cross-process event tracing for live runs.
 
 The aggregate :class:`~repro.telemetry.core.TelemetrySnapshot` answers *how
-much* time each span consumed; it cannot answer *when* — which shard was
-busy while the coordinator waited, whether batch 17's update stage started
-before shard 1 finished batch 16, where a straggler sat.  This module adds
+much* time each span consumed; it cannot answer *when* — which stage a slow
+batch sat in, which matrix-cell worker ran while another stalled, where a
+straggler sat.  This module adds
 the missing axis: a bounded ring-buffer :class:`TimelineRecorder` of
 timestamped events that every ``full``-level telemetry backend carries
 automatically, and a Chrome trace-event exporter so merged timelines open
@@ -20,9 +20,10 @@ Design constraints, in order:
   ``REPRO_TIMELINE_CAP``).
 * **Mergeable across clocks.** Events are stamped with the local
   :func:`time.perf_counter`; each process's snapshot carries a
-  ``clock_offset`` so a coordinator-side handshake (see
-  ``ShardedGraph._harvest_worker_timelines``) can express every timestamp
-  on the coordinator's clock: ``aligned = ts + clock_offset``.
+  ``clock_offset`` that expresses every timestamp on one reference clock:
+  ``aligned = ts + clock_offset``.  Processes on one host share that clock
+  (offset 0.0); the ``shard``/``clock_offset`` fields stay in the schema
+  so traces written by older multi-process runs still export.
 
 Event tuples are ``(kind, name, ts, dur, batch_id)`` with ``kind`` already
 in Chrome trace-event phase vocabulary: ``"X"`` for complete spans (``ts``

@@ -16,7 +16,7 @@ Dimension kinds:
   decades such as ABR's TH);
 * ``integer`` — an int in ``[low, high]``, optionally log-scaled
   (ABR's n and lambda, batch_size);
-* ``categorical`` — one of ``choices`` (adjacency format, shard policy).
+* ``categorical`` — one of ``choices`` (adjacency format).
 
 An integer dimension may additionally declare ``transform="pow2"``: the
 searched value is an *exponent* and the config receives ``2**value``.  The
@@ -371,14 +371,10 @@ def _builtin_spaces() -> dict[str, SearchSpace]:
                     low=0.05, high=0.9)
     usc_bits = Dimension("usc_hash_bits", "costs.usc_hash_insert", "integer",
                          low=1, high=5, transform="pow2")
-    shard = Dimension("shard_policy", "shard_policy", "categorical",
-                      choices=("mod", "hash", "greedy"))
     return {
         "abr": SearchSpace("abr", abr),
         "demo": SearchSpace("demo", (abr[0], abr[2], batch, adjacency)),
-        "full": SearchSpace(
-            "full", abr + (oca, usc_bits, batch, adjacency, shard)
-        ),
+        "full": SearchSpace("full", abr + (oca, usc_bits, batch, adjacency)),
     }
 
 

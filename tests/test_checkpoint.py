@@ -189,6 +189,43 @@ def test_cursor_outside_window_rejected(tmp_path):
         fresh.run(4, resume_from=checkpoint)
 
 
+# -- headers written before the sharded runtime was removed -----------------
+def _legacy_checkpoint(tmp_path, **legacy):
+    """A cursor-5 checkpoint whose saved header carries the retired
+    sharding fields, as every header written before their removal does."""
+    pipeline = CONFIG.build_pipeline()
+    pipeline.run(5)
+    checkpoint = PipelineCheckpoint.capture(pipeline)
+    config = {
+        **checkpoint.config,
+        "num_shards": 1, "shard_transport": "shm", "shard_policy": "mod",
+        **legacy,
+    }
+    checkpoint = dataclasses.replace(checkpoint, config=config)
+    return PipelineCheckpoint.load(checkpoint.save(tmp_path / "legacy.ckpt"))
+
+
+def test_legacy_single_shard_header_resumes_identically(tmp_path):
+    checkpoint = _legacy_checkpoint(tmp_path)
+    resumed = CONFIG.build_pipeline()
+    metrics = resumed.run(CONFIG.num_batches, resume_from=checkpoint)
+    assert metrics == _run_uninterrupted()
+
+
+def test_legacy_sharded_header_refused_before_unpickling(tmp_path):
+    # A sharded payload pickles classes that no longer exist, so the header
+    # check must fire before the payload is read at all.
+    checkpoint = dataclasses.replace(
+        _legacy_checkpoint(tmp_path, num_shards=2), payload=b"not a pickle"
+    )
+    with pytest.raises(CheckpointError, match="sharded runtime was removed"):
+        checkpoint.restore(CONFIG.build_pipeline())
+    hand_built = CONFIG.build_pipeline()
+    hand_built.run_config = None
+    with pytest.raises(CheckpointError, match="sharded runtime was removed"):
+        checkpoint.restore(hand_built)
+
+
 # -- resume bit-identity ----------------------------------------------------
 def test_resume_bit_identical_in_process(tmp_path):
     expected = _run_uninterrupted()

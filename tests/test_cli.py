@@ -42,48 +42,6 @@ def test_run_rejects_unknown_dataset():
         main(["run", "not-a-dataset"])
 
 
-def test_run_command_sharded(capsys):
-    code = main([
-        "run", "fb", "--batch-size", "500", "--num-batches", "2",
-        "--algorithm", "none", "--mode", "abr", "--shards", "2",
-    ])
-    assert code == 0
-    assert "fb @ 500" in capsys.readouterr().out
-
-
-def test_run_command_sharded_transport_and_policy(capsys):
-    code = main([
-        "run", "fb", "--batch-size", "500", "--num-batches", "2",
-        "--algorithm", "none", "--mode", "abr", "--shards", "2",
-        "--shard-transport", "inproc", "--shard-policy", "greedy",
-    ])
-    assert code == 0
-    assert "fb @ 500" in capsys.readouterr().out
-
-
-def test_run_rejects_unknown_shard_transport():
-    with pytest.raises(SystemExit):
-        main([
-            "run", "fb", "--shards", "2", "--shard-transport", "udp",
-        ])
-
-
-def test_run_rejects_unknown_shard_policy():
-    with pytest.raises(SystemExit):
-        main([
-            "run", "fb", "--shards", "2", "--shard-policy", "metis",
-        ])
-
-
-def test_run_shards_rejected_for_multiple_datasets(capsys):
-    code = main([
-        "run", "fb", "wiki", "--batch-size", "500", "--num-batches", "2",
-        "--algorithm", "none", "--mode", "abr", "--shards", "2",
-    ])
-    assert code == 2
-    assert "shards" in capsys.readouterr().err
-
-
 def test_characterize_command(capsys):
     assert main(["characterize", "fb", "--num-batches", "2"]) == 0
     out = capsys.readouterr().out

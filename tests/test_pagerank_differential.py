@@ -20,7 +20,6 @@ from repro.compute.pagerank import IncrementalPageRank
 from repro.datasets.profiles import get_dataset
 from repro.graph.adjacency_list import AdjacencyListGraph
 from repro.graph.hybrid import HybridAdjacencyGraph
-from repro.pipeline.sharding import ShardedGraph
 
 N_VERTICES = 24
 THRESHOLD = 3  # hybrid promotion threshold: streams cross it constantly
@@ -162,25 +161,18 @@ def _degree_batches():
     ]
 
 
-@pytest.mark.parametrize("fmt", ["dict", "hybrid", "sharded"])
+@pytest.mark.parametrize("fmt", ["dict", "hybrid"])
 def test_degree_arrays_match_view_lengths(fmt):
-    if fmt == "sharded":
-        graph = ShardedGraph(8, 2, transport="inproc")
-    else:
-        graph = _graph(fmt, 8)
-    try:
-        for batch in _degree_batches():
-            graph.apply_batch(batch)
-            out_adj, in_adj = graph.adjacency_views()
-            want_out = [len(out_adj.get(v, {})) for v in range(8)]
-            want_in = [len(in_adj.get(v, {})) for v in range(8)]
-            assert graph.out_degrees().tolist() == want_out
-            assert graph.in_degrees().tolist() == want_in
-            assert not graph.out_degrees().flags.writeable
-            assert not graph.in_degrees().flags.writeable
-    finally:
-        if fmt == "sharded":
-            graph.close()
+    graph = _graph(fmt, 8)
+    for batch in _degree_batches():
+        graph.apply_batch(batch)
+        out_adj, in_adj = graph.adjacency_views()
+        want_out = [len(out_adj.get(v, {})) for v in range(8)]
+        want_in = [len(in_adj.get(v, {})) for v in range(8)]
+        assert graph.out_degrees().tolist() == want_out
+        assert graph.in_degrees().tolist() == want_in
+        assert not graph.out_degrees().flags.writeable
+        assert not graph.in_degrees().flags.writeable
 
 
 # -- checkpoint state ----------------------------------------------------------

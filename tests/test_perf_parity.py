@@ -17,12 +17,13 @@ from hypothesis import given, settings, strategies as st
 from conftest import make_batch
 from repro.datasets.profiles import get_dataset
 from repro.datasets.stream_cache import cached_batches, cache_stats, clear_cache
+from repro.errors import ConfigurationError
 from repro.graph import adjacency_list
 from repro.graph.adjacency_list import AdjacencyListGraph
 from repro.graph.hybrid import HybridAdjacencyGraph
 from repro.graph.reference import ReferenceAdjacencyListGraph
 from repro.graph.snapshot import CSRSnapshot, DeltaSnapshotter, take_snapshot
-from repro.pipeline.executor import CellSpec, run_matrix
+from repro.pipeline.executor import CellSpec, mp_context, run_matrix
 
 N_VERTICES = 24
 
@@ -313,7 +314,14 @@ def test_run_matrix_start_method_parity(monkeypatch, method):
     ]
     serial = run_matrix(specs, jobs=1)
     monkeypatch.setenv("REPRO_MP_START", method)
+    assert mp_context().get_start_method() == method
     assert run_matrix(specs, jobs=2) == serial
+
+
+def test_mp_start_override_validated(monkeypatch):
+    monkeypatch.setenv("REPRO_MP_START", "sideways")
+    with pytest.raises(ConfigurationError):
+        mp_context()
 
 
 # -- stream cache --------------------------------------------------------------

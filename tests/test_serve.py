@@ -668,8 +668,7 @@ def test_run_config_from_serve_args_is_open_ended():
 
     args = argparse.Namespace(
         dataset="fb", batch_size=500, algorithm="pr", mode="abr_usc",
-        telemetry=None, shards=None, adjacency=None, shard_transport=None,
-        shard_policy=None,
+        telemetry=None, adjacency=None,
     )
     config = RunConfig.from_serve_args(args)
     assert config.num_batches is None
