@@ -98,13 +98,15 @@ bench-e2e:
 
 # A/B that benchmark for one workload: PAIRS alternating runs of BASE (a git
 # revision, exported to a temp dir) and the working tree, seeds SEED onwards;
-# prints each side's median/quartiles per metric and the change's wins.
+# prints each side's median/quartiles per metric, the change's wins and a
+# verdict.  TRACE=1 runs traced and compares the per-layer metrics.
 BASE ?= HEAD
 WORKLOAD ?= churn-friendster
 PAIRS ?= 10
+TRACE ?= 0
 bench-ab:
 	python3 tools/bench_ab.py --base $(BASE) --workload $(WORKLOAD) \
-		--pairs $(PAIRS) --seed $(SEED)
+		--pairs $(PAIRS) --seed $(SEED) --trace $(TRACE)
 
 bench-full:
 	REPRO_BENCH_FULL=1 pytest benchmarks/ --benchmark-only

@@ -52,6 +52,7 @@ class PageRankAlgorithm(ComputeAlgorithm):
                 graph,
                 tolerance=self.ctx.pr_tolerance,
                 max_rounds=self.ctx.pr_max_rounds,
+                telemetry=self.ctx.telemetry,
             )
 
     def on_round(self, batch, affected, covered):

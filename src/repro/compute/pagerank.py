@@ -27,9 +27,18 @@ import numpy as np
 from ..errors import ConfigurationError
 from ..graph.base import DynamicGraph
 from ..graph.snapshot import CSRSnapshot
+from ..telemetry.core import NULL_TELEMETRY, as_telemetry
 from .result import ComputeCounters
 
 __all__ = ["StaticPageRank", "IncrementalPageRank", "check_pagerank_settings"]
+
+#: Frontier size from which a round runs the level-scheduled numpy passes;
+#: smaller rounds run the per-vertex loop.  Measured crossover on fb: a
+#: numpy round costs ~0.1 ms even for a handful of vertices and wins from
+#: ~128 vertices on, but a call's first numpy round also pays the in-CSR
+#: sync, which moves the per-call crossover to ~512 (docs/MODEL.md,
+#: "Dispatch").
+SCALAR_FRONTIER_MAX = 512
 
 _INT32_MAX = 0x7FFFFFFF
 #: Frontier-position sentinel: larger than any position, so "earlier than
@@ -116,19 +125,23 @@ class IncrementalPageRank:
 
     Each round updates ranks in place, in the frontier set's iteration
     order, each vertex reading its in-neighbours' freshest values
-    (Gauss–Seidel).  The round runs as a few numpy passes per dependency
-    level (see :meth:`_round`) and performs exactly the float operations of
-    a per-vertex loop, so ranks and counters are bit-identical to it.
+    (Gauss–Seidel).  A round of fewer than :data:`SCALAR_FRONTIER_MAX`
+    vertices runs that per-vertex loop (:meth:`_scalar_round`); a larger one
+    runs as a few numpy passes per dependency level (:meth:`_round`) that
+    perform exactly the loop's float operations, so ranks and counters are
+    bit-identical whichever path a round takes.
 
     Args:
         graph: the dynamic graph the pipeline maintains.
         damping: damping factor.
         tolerance: per-vertex rank change below which propagation stops.
         max_rounds: frontier-round safety cap.
+        telemetry: optional telemetry backend; per-call counts of rounds
+            by path and of in-CSR syncs land there (``pagerank.*``).
     """
 
     #: Derived arrays rebuilt on demand, kept out of pickles.
-    _CACHES = ("_in_ptr", "_in_src", "_pos")
+    _CACHES = ("_in_ptr", "_in_src", "_pos", "_pending")
 
     def __init__(
         self,
@@ -136,6 +149,7 @@ class IncrementalPageRank:
         damping: float = 0.85,
         tolerance: float = 1e-7,
         max_rounds: int = 100,
+        telemetry=None,
     ):
         if not 0 < damping < 1:
             raise ConfigurationError(f"damping must be in (0,1), got {damping}")
@@ -144,13 +158,16 @@ class IncrementalPageRank:
         self.damping = damping
         self.tolerance = tolerance
         self.max_rounds = max_rounds
+        self.telemetry = as_telemetry(telemetry)
         self._base = (1.0 - damping) / graph.num_vertices
         self.values: np.ndarray = np.full(graph.num_vertices, self._base)
         # In-CSR: sources of v's in-edges, in in-adjacency (dict) order, at
-        # _in_src[_in_ptr[v]:_in_ptr[v + 1]]; _pos is the per-round
-        # frontier-position workspace.
+        # _in_src[_in_ptr[v]:_in_ptr[v + 1]], read by numpy rounds only;
+        # _pending marks the vertices whose in-lists changed since it was
+        # last synced; _pos is the per-round frontier-position workspace.
         self._in_ptr: np.ndarray | None = None
         self._in_src: np.ndarray | None = None
+        self._pending: np.ndarray | None = None
         self._pos: np.ndarray | None = None
 
     def __getstate__(self) -> dict:
@@ -161,8 +178,10 @@ class IncrementalPageRank:
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
-        # Checkpoints written before the vectorized kernel hold a list.
+        # Checkpoints written before the vectorized kernel hold a list,
+        # and those written before the dispatch carry no telemetry.
         self.values = np.asarray(self.values, dtype=np.float64)
+        self.__dict__.setdefault("telemetry", NULL_TELEMETRY)
         for name in self._CACHES:
             setattr(self, name, None)
 
@@ -173,9 +192,10 @@ class IncrementalPageRank:
             affected: iterable of vertex ids whose incident edges changed
                 (for OCA-aggregated rounds, the union over the covered
                 batches).  It must hold every vertex whose adjacency changed
-                since the previous call: only their in-lists are re-read
-                into the cached in-CSR (a cheap in-degree check catches a
-                missed one and re-reads everything).
+                since the previous call: the cached in-CSR re-reads only
+                the in-lists of vertices passed as ``affected`` since its
+                last sync (a cheap in-degree check catches a missed one and
+                re-reads everything).
 
         Returns:
             Work counters of this round.
@@ -183,26 +203,41 @@ class IncrementalPageRank:
         if isinstance(affected, np.ndarray):
             affected = affected.tolist()  # Python ints iterate far faster
         frontier = set(map(int, affected))
-        out_adj, in_adj = self.graph.adjacency_views()
         order = np.fromiter(frontier, dtype=np.int64, count=len(frontier))
-        self._sync_in_csr(in_adj, np.sort(order))
+        if self._pending is None:
+            self._pending = np.zeros(self.graph.num_vertices, dtype=bool)
+        self._pending[order] = True
+        out_adj, in_adj = self.graph.adjacency_views()
         out_deg = self.graph.out_degrees()
-        if self._pos is None:
-            self._pos = np.full(self.graph.num_vertices, _NOT_IN_FRONTIER, np.int32)
+        # Item reads give Python floats and ints, as the loop's list did.
+        values_view, deg_view = memoryview(self.values), memoryview(out_deg)
         empty: dict[int, float] = {}
         touched_vertices = 0
         touched_edges = 0
         rounds = 0
+        scalar_rounds = 0
+        synced = reread = False
         while frontier and rounds < self.max_rounds:
             rounds += 1
-            if rounds > 1:
-                order = np.fromiter(frontier, dtype=np.int64, count=len(frontier))
             # Round 1 pushes every affected vertex's out-neighbors even when
             # its own rank is unchanged: a source that gained edges has a new
             # out-degree, so its *contribution per edge* changed and all its
             # targets must re-pull (the rank delta alone cannot see this).
-            pushers, in_edges = self._round(order, out_deg, force_push=rounds == 1)
-            touched_vertices += len(order)
+            force_push = rounds == 1
+            touched_vertices += len(frontier)
+            if len(frontier) < SCALAR_FRONTIER_MAX:
+                scalar_rounds += 1
+                frontier, edges = self._scalar_round(
+                    frontier, values_view, deg_view, out_adj, in_adj, force_push
+                )
+                touched_edges += edges
+                continue
+            if not synced:
+                reread = self._sync_in_csr(in_adj)
+                synced = True
+            if rounds > 1:
+                order = np.fromiter(frontier, dtype=np.int64, count=len(frontier))
+            pushers, in_edges = self._round(order, out_deg, force_push)
             touched_edges += in_edges + int(out_deg[pushers].sum())
             del order
             # The next frontier's iteration order depends on how the set
@@ -210,26 +245,68 @@ class IncrementalPageRank:
             # frontier order, that a per-vertex loop makes.
             frontier = set()
             frontier.update(*map(out_adj.get, pushers.tolist(), repeat(empty)))
+        if self.telemetry.enabled:
+            count = self.telemetry.count
+            count("pagerank.scalar_rounds", scalar_rounds)
+            count("pagerank.vector_rounds", rounds - scalar_rounds)
+            count("pagerank.csr_syncs", int(synced))
+            count("pagerank.csr_rereads", int(reread))
         return ComputeCounters(
             iterations=rounds,
             touched_vertices=touched_vertices,
             touched_edges=touched_edges,
         )
 
+    def _scalar_round(
+        self, frontier: set, values, out_deg, out_adj, in_adj, force_push: bool
+    ) -> tuple[set, int]:
+        """Recompute ``frontier`` in place, one vertex at a time.
+
+        The per-vertex loop itself: in set iteration order, each vertex sums
+        ``values[u] / outdeg(u)`` over its in-list, left to right from
+        ``0.0``.  ``values`` and ``out_deg`` are memoryviews of the rank and
+        out-degree arrays.
+
+        Returns:
+            (the next frontier, in-edges read plus out-edges pushed along).
+        """
+        base = self._base
+        damping = self.damping
+        tolerance = self.tolerance
+        empty: dict[int, float] = {}
+        next_frontier: set[int] = set()
+        touched_edges = 0
+        for v in frontier:
+            total = 0.0
+            in_nbrs = in_adj.get(v, empty)
+            for u in in_nbrs:
+                deg = out_deg[u]
+                if deg:
+                    total += values[u] / deg
+            touched_edges += len(in_nbrs)
+            new_value = base + damping * total
+            if force_push or abs(new_value - values[v]) > tolerance:
+                out_nbrs = out_adj.get(v, empty)
+                touched_edges += len(out_nbrs)
+                next_frontier.update(out_nbrs)
+            values[v] = new_value
+        return next_frontier, touched_edges
+
     def _round(
         self, order: np.ndarray, out_deg: np.ndarray, force_push: bool
     ) -> tuple[np.ndarray, int]:
         """Recompute the frontier ``order`` (set iteration order) in place.
 
-        The loop this replaces visits ``order[0], order[1], ...`` and sums
-        ``values[u] / outdeg(u)`` over each vertex's in-list left to right,
-        so ``order[i]`` reads the *new* value of an in-neighbour at an
-        earlier position and the pre-round value of any other (later,
-        itself, or outside the frontier).  A vertex's dependency level is one
-        more than the highest level among its earlier in-neighbours; all
-        vertices of one level read only lower levels' results, so they are
-        computed together, each sum accumulated column by column in
-        in-list order — the loop's exact float operations.
+        The per-vertex loop (:meth:`_scalar_round`) visits ``order[0],
+        order[1], ...`` and sums ``values[u] / outdeg(u)`` over each
+        vertex's in-list left to right, so ``order[i]`` reads the *new*
+        value of an in-neighbour at an earlier position and the pre-round
+        value of any other (later, itself, or outside the frontier).  A
+        vertex's dependency level is one more than the highest level among
+        its earlier in-neighbours; all vertices of one level read only lower
+        levels' results, so they are computed together, each sum
+        accumulated column by column in in-list order — the loop's exact
+        float operations.
 
         Returns:
             (the vertices that push, in frontier order; in-edges read).
@@ -243,6 +320,8 @@ class IncrementalPageRank:
         owner = np.repeat(np.arange(k), lens)
         src = self._in_src[np.arange(n_in) + np.repeat(starts - seg_off, lens)]
         pos = self._pos
+        if pos is None:
+            pos = self._pos = np.full(len(values), _NOT_IN_FRONTIER, np.int32)
         pos[order] = np.arange(k, dtype=np.int32)
         src_pos = pos[src]
         pos[order] = _NOT_IN_FRONTIER
@@ -280,14 +359,19 @@ class IncrementalPageRank:
             values[targets] = new
         return order[push], n_in
 
-    def _sync_in_csr(self, in_adj, affected: np.ndarray) -> None:
+    def _sync_in_csr(self, in_adj) -> bool:
         """Bring the cached in-CSR up to date with the graph.
 
-        Re-reads only the in-lists of ``affected`` (sorted vertex ids).  On
-        the first call, or when the patched in-lengths disagree with
-        ``in_degrees()`` — a changed vertex missing from ``affected`` —
-        every in-list is read afresh.
+        Re-reads only the in-lists of the vertices marked pending since the
+        last sync, then clears the marks.  On the first sync, or when the
+        patched in-lengths disagree with ``in_degrees()`` — a changed vertex
+        never passed as ``affected`` — every in-list is read afresh.
+
+        Returns:
+            Whether that in-degree check fired.
         """
+        affected = np.flatnonzero(self._pending)
+        self._pending[affected] = False
         in_deg = self.graph.in_degrees()
         if self._in_ptr is not None:
             lists = list(map(in_adj.get, affected.tolist(), repeat({})))
@@ -295,7 +379,8 @@ class IncrementalPageRank:
             new_len[affected] = np.fromiter(map(len, lists), np.int64, count=len(lists))
             if np.array_equal(new_len, in_deg):
                 self._patch_in_csr(affected, lists, new_len)
-                return
+                return False
+        reread = self._in_ptr is not None
         n = self.graph.num_vertices
         self._in_ptr = np.zeros(n + 1, dtype=np.int64)
         self._in_src = np.empty(0, dtype=np.int32 if n <= _INT32_MAX else np.int64)
@@ -304,6 +389,7 @@ class IncrementalPageRank:
         new_len = np.zeros(n, dtype=np.int64)
         new_len[verts] = np.fromiter(map(len, lists), np.int64, count=len(lists))
         self._patch_in_csr(verts, lists, new_len)
+        return reread
 
     def _patch_in_csr(
         self, verts: np.ndarray, lists: list, new_len: np.ndarray

@@ -62,3 +62,79 @@ def test_single_pair_quartiles_collapse_to_the_value():
     assert summary["metrics"]["edges_per_s"]["change"] == {
         "median": 120, "q1": 120, "q3": 120,
     }
+
+
+def _pairs(base_p50, change_p50, edges=(100, 100)):
+    """One pair per (base, change) visible_p50_ms value."""
+    return [
+        {"base": _run(edges[0], b), "change": _run(edges[1], c)}
+        for b, c in zip(base_p50, change_p50)
+    ]
+
+
+def _verdicts(pairs):
+    summary = bench_ab.summarize(pairs, METRICS)
+    return {name: entry["verdict"] for name, entry in summary["metrics"].items()}
+
+
+def test_gain_needs_nine_tenths_of_the_pairs_and_the_base_spread():
+    base = [15.0, 14.0, 14.5, 15.5, 16.0, 14.2, 15.1, 14.8, 15.3, 14.9]
+    assert _verdicts(_pairs(base, [9.5] * 10))["visible_p50_ms"] == "gain"
+    # 8/10 wins is not a gain, however large the difference.
+    eight = [9.5] * 8 + [20.0, 20.0]
+    assert _verdicts(_pairs(base, eight))["visible_p50_ms"] == "within its bound"
+    # 10/10 wins by less than the base's q3 - q1 is not a gain either.
+    close = [b - 0.01 for b in base]
+    assert _verdicts(_pairs(base, close))["visible_p50_ms"] == "within its bound"
+
+
+def test_worse_than_its_bound():
+    verdicts = _verdicts(_pairs([10.0] * 4, [13.0] * 4, edges=(100, 70)))
+    assert verdicts == {
+        "edges_per_s": "worse than its bound",
+        "visible_p50_ms": "worse than its bound",
+    }
+
+
+def test_wide_base_spread_is_unresolved_unless_the_change_wins_every_run():
+    base = [10.0, 20.0, 10.0, 20.0]  # q3 - q1 = 10: wider than 25% of 15
+    assert _verdicts(_pairs(base, [16.0, 14.0, 16.0, 14.0]))[
+        "visible_p50_ms"] == "unresolved"
+    # Every change run beats every base run, yet the median gap (5.3) does
+    # not pass the spread: not a gain, but not unresolved either.
+    assert _verdicts(_pairs(base, [9.9, 9.5, 9.9, 9.5]))[
+        "visible_p50_ms"] == "within its bound"
+    assert _verdicts(_pairs(base, [2.0, 3.0, 2.0, 3.0]))[
+        "visible_p50_ms"] == "gain"
+
+
+def test_metrics_without_a_bound_get_only_the_gain_test():
+    layer = [{"name": "edges_per_s", "unit": "edges/s", "better": "higher"}]
+    pairs = _pairs([10.0] * 3, [10.0] * 3, edges=(100, 50))
+    summary = bench_ab.summarize(pairs, layer)
+    assert summary["metrics"]["edges_per_s"]["verdict"] == "no gain"
+    pairs = _pairs([10.0] * 3, [10.0] * 3, edges=(100, 150))
+    summary = bench_ab.summarize(pairs, layer)
+    assert summary["metrics"]["edges_per_s"]["verdict"] == "gain"
+
+
+def test_trace_runs_traced_and_compares_the_per_layer_metrics(monkeypatch, capsys):
+    spec = bench_ab.json.loads((bench_ab.ROOT / "BENCHMARK.json").read_text())
+    calls = []
+
+    def fake_run(tree, workload, seed, seconds, trace=0):
+        calls.append(trace)
+        return {
+            "correct": True, "attempted": 1, "failed": 0,
+            "metrics": {m["name"]: {"value": 1.0} for m in spec["per_layer"]},
+        }
+
+    monkeypatch.setattr(bench_ab, "export", lambda rev, dest: None)
+    monkeypatch.setattr(bench_ab, "run_once", fake_run)
+    assert bench_ab.main(["--base", "HEAD", "--workload", "serve-fb",
+                          "--pairs", "2", "--trace", "1"]) == 0
+    assert calls == [1, 1, 1, 1]
+    summary = bench_ab.json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert summary["trace"] == 1
+    assert list(summary["metrics"]) == [m["name"] for m in spec["per_layer"]]
+    assert {e["verdict"] for e in summary["metrics"].values()} == {"no gain"}

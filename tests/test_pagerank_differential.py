@@ -1,14 +1,16 @@
-"""The vectorized incremental PageRank against the per-vertex loop it replaced.
+"""Incremental PageRank against the per-vertex loop kept as its oracle.
 
 ``IncrementalPageRank`` must return ranks bit-identical to the loop kept in
 ``tests/pagerank_reference.py`` (``np.array_equal``) and equal
 ``ComputeCounters`` after every call — for any stream, any form of the
-``affected`` argument, any convergence settings and either runtime
-adjacency format.  Also pins the graph degree accessors the kernel reads
-and the engine's checkpoint state.
+``affected`` argument, any convergence settings, either runtime adjacency
+format and any split of rounds between its scalar and numpy paths.  Also
+pins the graph degree accessors the kernel reads and the engine's
+checkpoint state.
 """
 
 import pickle
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,13 +18,27 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import make_batch
 from pagerank_reference import ReferenceIncrementalPageRank
+from repro.compute import pagerank
 from repro.compute.pagerank import IncrementalPageRank
 from repro.datasets.profiles import get_dataset
 from repro.graph.adjacency_list import AdjacencyListGraph
 from repro.graph.hybrid import HybridAdjacencyGraph
+from repro.pipeline.checkpoint import PipelineCheckpoint
+from repro.pipeline.config import RunConfig
+from repro.telemetry.core import Telemetry
 
 N_VERTICES = 24
 THRESHOLD = 3  # hybrid promotion threshold: streams cross it constantly
+#: SCALAR_FRONTIER_MAX values: every round numpy, a split of this file's
+#: small universes, the shipped default, and every round scalar.
+ALL_NUMPY = 0
+ALL_SCALAR = 1 << 62
+FRONTIER_SPLITS = [ALL_NUMPY, 8, pagerank.SCALAR_FRONTIER_MAX, ALL_SCALAR]
+
+
+def _frontier_max(value):
+    """Patch the dispatch threshold (usable inside a hypothesis test)."""
+    return mock.patch.object(pagerank, "SCALAR_FRONTIER_MAX", value)
 
 
 def _graph(fmt: str, num_vertices: int = N_VERTICES):
@@ -66,9 +82,17 @@ ops = st.lists(
     affected_as=st.sampled_from(["array", "set", "oca"]),
     tolerance=st.sampled_from([0.0, 1e-7, 1e-3]),
     max_rounds=st.sampled_from([1, 2, 100]),
+    frontier_max=st.sampled_from(FRONTIER_SPLITS),
 )
-@settings(max_examples=120, deadline=None)
-def test_matches_reference_loop(stream, fmt, affected_as, tolerance, max_rounds):
+@settings(max_examples=160, deadline=None)
+def test_matches_reference_loop(
+    stream, fmt, affected_as, tolerance, max_rounds, frontier_max
+):
+    with _frontier_max(frontier_max):
+        _stream_matches_reference(stream, fmt, affected_as, tolerance, max_rounds)
+
+
+def _stream_matches_reference(stream, fmt, affected_as, tolerance, max_rounds):
     graph = _graph(fmt)
     engine = IncrementalPageRank(graph, tolerance=tolerance, max_rounds=max_rounds)
     reference = ReferenceIncrementalPageRank(
@@ -93,10 +117,11 @@ def test_matches_reference_loop(stream, fmt, affected_as, tolerance, max_rounds)
 
 
 @pytest.mark.parametrize("fmt", ["dict", "hybrid"])
+@_frontier_max(ALL_NUMPY)
 def test_path_graph_puts_every_vertex_in_its_own_level(fmt):
     """0 -> 1 -> ... -> n-1 with the frontier iterating in path order: each
-    vertex reads its predecessor's new value, so every level holds one
-    vertex — the deepest schedule a round can have."""
+    vertex reads its predecessor's new value, so every numpy round's levels
+    hold one vertex each — the deepest schedule a round can have."""
     n = 300
     graph = _graph(fmt, n)
     graph.apply_batch(make_batch(list(range(n - 1)), list(range(1, n))))
@@ -130,23 +155,103 @@ def test_lj_stream_matches_reference_loop():
         )
 
 
+def _counter(telemetry, name):
+    return telemetry.snapshot().counter(name)
+
+
+def _oracle_pair(num_vertices, **kwargs):
+    """A graph, an engine counting into basic telemetry, and the oracle."""
+    graph = AdjacencyListGraph(num_vertices)
+    telemetry = Telemetry("basic")
+    engine = IncrementalPageRank(graph, telemetry=telemetry, **kwargs)
+    reference = ReferenceIncrementalPageRank(graph, **kwargs)
+
+    def call(affected, frontier_max):
+        with _frontier_max(frontier_max):
+            _assert_same(
+                engine, reference,
+                engine.on_batch(affected), reference.on_batch(affected),
+            )
+
+    return graph, telemetry, call
+
+
 def test_missed_affected_vertex_triggers_full_reread():
     """A caller that leaves a changed vertex out of ``affected`` breaks the
     contract; the in-degree check notices and re-reads every in-list, so
     the next call still sees the current graph."""
-    graph = AdjacencyListGraph(8)
-    engine = IncrementalPageRank(graph, tolerance=0.0)
-    reference = ReferenceIncrementalPageRank(graph, tolerance=0.0)
-    def call(affected):
+    graph, telemetry, call = _oracle_pair(8, tolerance=0.0)
+    graph.apply_batch(make_batch([0, 1], [1, 2]))
+    call([0, 1, 2], ALL_NUMPY)
+    graph.apply_batch(make_batch([3], [2], batch_id=1))  # 2's in-list grows
+    call([3], ALL_NUMPY)
+    assert _counter(telemetry, "pagerank.csr_rereads") == 1
+    call([2], ALL_NUMPY)
+
+
+def test_missed_vertex_is_caught_after_scalar_only_calls():
+    """Scalar rounds read the graph, not the in-CSR, so a missed change
+    goes unnoticed until the next numpy round's sync, which re-reads
+    everything."""
+    graph, telemetry, call = _oracle_pair(8, tolerance=0.0)
+    graph.apply_batch(make_batch([0, 1], [1, 2]))
+    call([0, 1, 2], ALL_NUMPY)
+    graph.apply_batch(make_batch([3], [2], batch_id=1))  # 2's in-list grows
+    call([3], ALL_SCALAR)
+    graph.apply_batch(make_batch([4], [5], batch_id=2))
+    call([4, 5], ALL_SCALAR)
+    assert _counter(telemetry, "pagerank.csr_rereads") == 0
+    call([4], ALL_NUMPY)
+    assert _counter(telemetry, "pagerank.csr_rereads") == 1
+
+
+def test_sync_covers_every_call_since_the_last_numpy_round():
+    """In-list changes made under scalar-only calls reach the in-CSR at the
+    next numpy round, even for vertices that call does not pass.  Vertex
+    2's in-list changes content and order but never length, so the
+    in-degree check cannot catch a sync that skips it."""
+    graph, telemetry, call = _oracle_pair(8, tolerance=0.0)
+    graph.apply_batch(make_batch([0, 1, 2, 3], [2, 2, 3, 0]))
+    call([0, 1, 2, 3], ALL_NUMPY)  # builds the in-CSR: in(2) = [0, 1]
+    graph.apply_batch(
+        make_batch([0, 4], [2, 2], batch_id=1, is_delete=[True, False])
+    )
+    call([0, 2, 4], ALL_SCALAR)  # in(2) = [1, 4]
+    graph.apply_batch(
+        make_batch([1], [2], batch_id=2, is_delete=[True])
+    )
+    graph.apply_batch(make_batch([1], [2], batch_id=3))
+    call([1, 2], ALL_SCALAR)  # in(2) = [4, 1]
+    assert _counter(telemetry, "pagerank.csr_syncs") == 1
+    # 5 -> 4 pushes to 4, and 4 pushes to 2 in round 2.
+    graph.apply_batch(make_batch([5], [4], batch_id=4))
+    call([4, 5], ALL_NUMPY)
+    assert _counter(telemetry, "pagerank.csr_syncs") == 2
+    assert _counter(telemetry, "pagerank.csr_rereads") == 0
+
+
+def test_fb_stream_runs_both_paths_at_the_default_threshold():
+    """fb at serve's micro-batch size, on a graph warmed by a larger batch:
+    the large rounds run numpy, the 60-edge calls run scalar, and the last
+    large batch syncs everything those calls changed."""
+    profile = get_dataset("fb")
+    generator = profile.generator(seed=3)
+    graph = AdjacencyListGraph(profile.num_vertices)
+    telemetry = Telemetry("basic")
+    engine = IncrementalPageRank(graph, telemetry=telemetry)
+    reference = ReferenceIncrementalPageRank(graph)
+    for i, size in enumerate([3000] + [60] * 100 + [1000]):
+        batch = generator.generate_batch(i, size)
+        graph.apply_batch(batch)
+        affected = batch.unique_vertices()
         _assert_same(
             engine, reference, engine.on_batch(affected), reference.on_batch(affected)
         )
-
-    graph.apply_batch(make_batch([0, 1], [1, 2]))
-    call([0, 1, 2])
-    graph.apply_batch(make_batch([3], [2], batch_id=1))  # 2's in-list grows
-    call([3])
-    call([2])
+    counters = telemetry.snapshot().counters
+    assert counters["pagerank.scalar_rounds"] > 100
+    assert counters["pagerank.vector_rounds"] > 0
+    assert counters["pagerank.csr_syncs"] == 2
+    assert counters["pagerank.csr_rereads"] == 0
 
 
 # -- degree accessors ----------------------------------------------------------
@@ -192,11 +297,12 @@ def _warm_engine():
     return graph, engine, reference
 
 
-def _continue(engine, reference):
-    """One more batch; a restored engine carries its own copy of the graph."""
-    batch = make_batch([5, 3, 1], [3, 5, 5], batch_id=1)
-    engine.graph.apply_batch(batch)
+def _continue(engine, reference, src=(5, 3, 1), dst=(3, 5, 5), batch_id=1):
+    """One more batch, checked against the oracle."""
+    batch = make_batch(list(src), list(dst), batch_id=batch_id)
     reference.graph.apply_batch(batch)
+    if engine.graph is not reference.graph:  # a restored engine's own copy
+        engine.graph.apply_batch(batch)
     _assert_same(
         engine, reference,
         engine.on_batch(batch.unique_vertices()),
@@ -205,15 +311,25 @@ def _continue(engine, reference):
 
 
 def test_pickle_carries_no_cache_arrays():
-    graph, engine, reference = _warm_engine()
+    with _frontier_max(ALL_NUMPY):
+        graph, engine, reference = _warm_engine()
+    # A scalar-only call leaves a change pending in the in-CSR.
+    with _frontier_max(ALL_SCALAR):
+        _continue(engine, reference)
     assert engine._in_ptr is not None and engine._pos is not None
+    assert engine._pending.any()
     state = engine.__getstate__()
-    assert not {"_in_ptr", "_in_src", "_pos"} & state.keys()
+    assert not {"_in_ptr", "_in_src", "_pos", "_pending"} & state.keys()
     restored = pickle.loads(pickle.dumps(engine))
     assert restored._in_ptr is None and restored._in_src is None
-    # The restored engine rebuilds the in-CSR from its own graph copy and
-    # continues bit-identically.
-    _continue(restored, reference)
+    assert restored._pending is None
+    # The restored engine reads its own graph copy: scalar rounds directly,
+    # numpy rounds through an in-CSR rebuilt at the first of them.
+    with _frontier_max(ALL_SCALAR):
+        _continue(restored, reference, [6, 5], [1, 6], batch_id=2)
+    assert restored._in_ptr is None
+    with _frontier_max(ALL_NUMPY):
+        _continue(restored, reference, [7, 1], [5, 7], batch_id=3)
 
 
 def test_list_ranks_from_older_checkpoints_load_and_continue():
@@ -228,8 +344,30 @@ def test_list_ranks_from_older_checkpoints_load_and_continue():
     )
     restored = pickle.loads(pickle.dumps(legacy))
     assert isinstance(restored.values, np.ndarray)
+    assert not restored.telemetry.enabled
     assert np.array_equal(restored.as_array(), reference.as_array())
     _continue(restored, reference)
+
+
+def test_resumed_pipeline_counts_rounds_into_its_own_telemetry():
+    """The engine pickles its telemetry inside the pipeline checkpoint, as
+    the same object the pipeline holds, so a resumed run keeps counting
+    into the backend it reports."""
+    config = RunConfig(
+        dataset="fb", batch_size=500, num_batches=4, telemetry="basic"
+    )
+    pipeline = config.build_pipeline()
+    pipeline.run(2)
+    checkpoint = PipelineCheckpoint.capture(pipeline)
+    resumed = config.build_pipeline()
+    resumed.run(4, resume_from=checkpoint)
+    assert resumed.compute.engine.telemetry is resumed.telemetry
+
+    def rounds(p):
+        counters = p.telemetry.snapshot().counters
+        return counters["pagerank.scalar_rounds"] + counters["pagerank.vector_rounds"]
+
+    assert rounds(resumed) > rounds(pipeline) > 0
 
 
 def test_as_array_is_a_fresh_copy():

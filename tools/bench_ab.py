@@ -2,7 +2,7 @@
 """A/B the end-to-end benchmark: a git revision against the working tree.
 
     python3 tools/bench_ab.py --base HEAD --workload churn-friendster --pairs 10 --seed 31
-    make bench-ab BASE=HEAD WORKLOAD=churn-friendster PAIRS=10 SEED=31
+    make bench-ab BASE=HEAD WORKLOAD=churn-friendster PAIRS=10 SEED=31 [TRACE=1]
 
 Exports ``--base`` with ``git archive`` into a temporary directory, then
 makes ``--pairs`` pairs of ``perfbench/run.py --workload W --seed S`` runs,
@@ -12,10 +12,22 @@ a drift in host speed reaches both sides alike.  Each side runs its own
 ``perfbench/`` against its own ``src/``, one run at a time.
 
 Prints every run as it finishes, then, per end-to-end metric of
-BENCHMARK.json, each side's median and quartiles and the number of pairs
-the working tree won, and per side the correct runs and failed operations.
-The last line is the same summary as one JSON object.  A run that exits
-non-zero stops the comparison.
+BENCHMARK.json, each side's median and quartiles, the number of pairs the
+working tree won and a verdict, and per side the correct runs and failed
+operations.  The verdicts:
+
+* ``gain``: the working tree won at least 9/10 of the pairs (ties count
+  for neither side) and the medians differ by more than the base's q3-q1;
+* ``worse than its bound``: the working tree's median is worse than the
+  base's by more than the metric's BENCHMARK.json bound;
+* ``unresolved``: the base's own q3-q1 is wider than the bound, unless
+  every run of the working tree beat every run of the base;
+* ``within its bound``: none of the above.
+
+``--trace 1`` runs perfbench traced and summarizes BENCHMARK.json's
+per-layer metrics instead; they have no bound, so their verdict is
+``gain`` or ``no gain``.  The last line is the same summary as one JSON
+object.  A run that exits non-zero stops the comparison.
 """
 
 from __future__ import annotations
@@ -42,12 +54,14 @@ def export(rev: str, dest: Path) -> None:
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(
+    tree: Path, workload: str, seed: int, seconds: float, trace: int = 0
+) -> dict:
     """One ``perfbench/run.py`` run in ``tree``; its final JSON line."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)],
         cwd=tree, env=env, capture_output=True, text=True,
     )
     lines = done.stdout.strip().splitlines()
@@ -66,11 +80,30 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
+def verdict(entry: dict, pairs: int, bound: float | None) -> str:
+    """The A/B verdict on one metric's summary ``entry`` (module docstring)."""
+    base, change = entry["base"], entry["change"]
+    spread = base["q3"] - base["q1"]
+    sign = 1 if entry["better"] == "higher" else -1
+    improvement = sign * (change["median"] - base["median"])
+    if 10 * entry["wins"] >= 9 * pairs and improvement > spread:
+        return "gain"
+    if bound is None:
+        return "no gain"
+    scale = abs(base["median"])
+    if -improvement > bound * scale:
+        return "worse than its bound"
+    if spread > bound * scale and not entry["all_better"]:
+        return "unresolved"
+    return "within its bound"
+
+
 def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
-    """Per-metric medians, quartiles and wins over ``pairs`` of results.
+    """Per-metric medians, quartiles, wins and verdict over ``pairs``.
 
     Each pair maps ``"base"`` and ``"change"`` to a run's JSON result;
-    ``metrics`` are BENCHMARK.json's ``end_to_end`` entries.
+    ``metrics`` are BENCHMARK.json's ``end_to_end`` or ``per_layer``
+    entries (only the former carry a ``bound``).
     """
     summary: dict = {"pairs": len(pairs), "metrics": {}}
     for metric in metrics:
@@ -79,16 +112,18 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
             side: [pair[side]["metrics"][name]["value"] for pair in pairs]
             for side in SIDES
         }
-        higher = metric["better"] == "higher"
-        wins = sum(
-            (c > b) if higher else (c < b)
-            for b, c in zip(values["base"], values["change"])
-        )
-        entry: dict = {"unit": metric["unit"], "better": metric["better"],
-                       "wins": wins}
+        # Signed so that larger is better in either direction.
+        sign = 1 if metric["better"] == "higher" else -1
+        base, change = ([sign * v for v in values[side]] for side in SIDES)
+        entry: dict = {
+            "unit": metric["unit"], "better": metric["better"],
+            "wins": sum(c > b for b, c in zip(base, change)),
+            "all_better": min(change) > max(base),
+        }
         for side in SIDES:
             q1, median, q3 = quartiles(values[side])
             entry[side] = {"median": median, "q1": q1, "q3": q3}
+        entry["verdict"] = verdict(entry, len(pairs), metric.get("bound"))
         summary["metrics"][name] = entry
     for side in SIDES:
         summary[side] = {
@@ -101,8 +136,9 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
 
 def report(summary: dict) -> None:
     pairs = summary["pairs"]
-    print(f"{'metric':<16} {'unit':<8} {'base median [q1, q3]':<34} "
-          f"{'change median [q1, q3]':<34} {'ratio':>6}  change wins")
+    width = max(16, *map(len, summary["metrics"]))
+    print(f"{'metric':<{width}} {'unit':<8} {'base median [q1, q3]':<34} "
+          f"{'change median [q1, q3]':<34} {'ratio':>6}  change wins  verdict")
     for name, entry in summary["metrics"].items():
         cells = []
         for side in SIDES:
@@ -110,8 +146,9 @@ def report(summary: dict) -> None:
             cells.append(f"{s['median']:.4g} [{s['q1']:.4g}, {s['q3']:.4g}]")
         base = entry["base"]["median"]
         ratio = entry["change"]["median"] / base if base else float("nan")
-        print(f"{name:<16} {entry['unit']:<8} {cells[0]:<34} {cells[1]:<34} "
-              f"{ratio:>6.3f}  {entry['wins']}/{pairs}")
+        wins = f"{entry['wins']}/{pairs}"
+        print(f"{name:<{width}} {entry['unit']:<8} {cells[0]:<34} {cells[1]:<34} "
+              f"{ratio:>6.3f}  {wins:<11}  {entry['verdict']}")
     for side in SIDES:
         s = summary[side]
         print(f"{side}: {s['correct_runs']}/{pairs} runs correct, "
@@ -125,6 +162,8 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=1, help="seed of the first pair")
+    parser.add_argument("--trace", type=int, choices=(0, 1), default=0,
+                        help="1: run traced and compare the per-layer metrics")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
@@ -138,7 +177,8 @@ def main(argv=None) -> int:
             pair = {}
             for side in order:
                 pair[side] = run_once(
-                    trees[side], args.workload, seed, spec["run_seconds"]
+                    trees[side], args.workload, seed, spec["run_seconds"],
+                    args.trace,
                 )
                 shown = ", ".join(
                     f"{k}={v['value']:.4g}" for k, v in pair[side]["metrics"].items()
@@ -147,8 +187,8 @@ def main(argv=None) -> int:
                       f"correct={pair[side]['correct']} "
                       f"failed={pair[side]['failed']} {shown}", flush=True)
             pairs.append(pair)
-    summary = summarize(pairs, spec["end_to_end"])
-    summary.update(base_rev=args.base, workload=args.workload,
+    summary = summarize(pairs, spec["per_layer" if args.trace else "end_to_end"])
+    summary.update(base_rev=args.base, workload=args.workload, trace=args.trace,
                    seeds=[args.seed, args.seed + args.pairs - 1])
     report(summary)
     print(json.dumps(summary))
