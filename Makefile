@@ -111,13 +111,10 @@ bench-ab:
 bench-full:
 	REPRO_BENCH_FULL=1 pytest benchmarks/ --benchmark-only
 
-# Substrate + adjacency-format micro-benchmarks with the regression gate
-# armed: fails if the measured speedups drop >20% below the committed
-# BENCH_substrate.json / BENCH_adjacency.json.  Pins the hybrid format so
-# the gated numbers are the performance-optimal configuration.
+# Substrate micro-benchmark with the regression gate armed: fails if the
+# measured speedups drop >20% below the committed BENCH_substrate.json.
 bench-smoke:
-	REPRO_BENCH_ENFORCE=1 REPRO_ADJ_FORMAT=hybrid pytest \
-		benchmarks/test_perf_substrate.py benchmarks/test_perf_adjacency.py \
+	REPRO_BENCH_ENFORCE=1 pytest benchmarks/test_perf_substrate.py \
 		--benchmark-only
 
 fidelity:

@@ -52,7 +52,7 @@ def _run_once() -> dict:
         dataset=DATASET, batch_size=BATCH_TARGET, algorithm="pr",
         mode="abr_usc", telemetry="basic",
     )
-    settings = ServeSettings(batch_target=BATCH_TARGET, batch_min=256)
+    settings = ServeSettings(batch_target=BATCH_TARGET)
     handle = start_server_thread(config, settings)
     try:
         return asyncio.run(

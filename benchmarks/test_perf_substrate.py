@@ -34,8 +34,6 @@ from repro.analysis.report import render_table
 from repro.datasets.profiles import get_dataset
 from repro.datasets.stream_cache import cached_batches
 from repro.graph.adjacency_list import AdjacencyListGraph
-from repro.graph.formats import resolve_adjacency_format
-from repro.graph.hybrid import HybridAdjacencyGraph
 from repro.graph.reference import ReferenceAdjacencyListGraph
 from repro.graph.snapshot import DeltaSnapshotter, take_snapshot
 from repro.pipeline.executor import CellSpec, run_matrix
@@ -63,16 +61,15 @@ def _time_ingest_once(graph_cls, batches) -> float:
     return time.perf_counter() - start
 
 
-def _time_ingest_trio(batches) -> tuple[float, float, float]:
-    """Best-of-ROUNDS for all three ingest paths (reference loop, dict
-    graph, hybrid graph), rounds interleaved A/B/C so machine-load drift
-    during the run biases none of the ratios."""
-    best_ref = best_vec = best_hyb = float("inf")
+def _time_ingest_pair(batches) -> tuple[float, float]:
+    """Best-of-ROUNDS for both ingest paths (reference loop, dict graph),
+    rounds interleaved A/B so machine-load drift during the run biases
+    neither side of the ratio."""
+    best_ref = best_vec = float("inf")
     for __ in range(ROUNDS):
         best_ref = min(best_ref, _time_ingest_once(ReferenceAdjacencyListGraph, batches))
         best_vec = min(best_vec, _time_ingest_once(AdjacencyListGraph, batches))
-        best_hyb = min(best_hyb, _time_ingest_once(HybridAdjacencyGraph, batches))
-    return best_ref, best_vec, best_hyb
+    return best_ref, best_vec
 
 
 def _time_snapshots(batches, delta: bool) -> float:
@@ -106,14 +103,7 @@ def _time_matrix_row() -> float:
 
 
 def run_substrate() -> dict:
-    ingest_ref, ingest_vec, ingest_hyb = _time_ingest_trio(
-        _batches(INGEST_DATASET)
-    )
-    # ``ingest_speedup`` tracks the format a run would actually use (the
-    # ``REPRO_ADJ_FORMAT``-resolved default); the per-format speedups are
-    # recorded alongside so the trajectory of each substrate is explicit.
-    fmt = resolve_adjacency_format(None)
-    ingest_fmt = ingest_hyb if fmt == "hybrid" else ingest_vec
+    ingest_ref, ingest_vec = _time_ingest_pair(_batches(INGEST_DATASET))
     snapshot_batches = _batches(SNAPSHOT_DATASET)
     snap_full = _time_snapshots(snapshot_batches, delta=False)
     snap_delta = _time_snapshots(snapshot_batches, delta=True)
@@ -122,13 +112,10 @@ def run_substrate() -> dict:
         "snapshot_dataset": SNAPSHOT_DATASET,
         "batch_size": BATCH_SIZE,
         "num_batches": NUM_BATCHES,
-        "adjacency": fmt,
         "ingest_reference_s": ingest_ref,
         "ingest_vectorized_s": ingest_vec,
-        "ingest_hybrid_s": ingest_hyb,
-        "ingest_speedup": ingest_ref / ingest_fmt,
+        "ingest_speedup": ingest_ref / ingest_vec,
         "ingest_speedup_dict": ingest_ref / ingest_vec,
-        "ingest_speedup_hybrid": ingest_ref / ingest_hyb,
         "snapshot_full_s": snap_full,
         "snapshot_delta_s": snap_delta,
         "snapshot_speedup": snap_full / snap_delta,
@@ -154,12 +141,6 @@ def test_perf_substrate(benchmark):
                     result["ingest_speedup_dict"],
                 ],
                 [
-                    f"ingest hybrid {INGEST_DATASET}@{BATCH_SIZE} x{NUM_BATCHES}",
-                    result["ingest_reference_s"],
-                    result["ingest_hybrid_s"],
-                    result["ingest_speedup_hybrid"],
-                ],
-                [
                     f"snapshot {SNAPSHOT_DATASET} per batch",
                     result["snapshot_full_s"],
                     result["snapshot_delta_s"],
@@ -172,29 +153,23 @@ def test_perf_substrate(benchmark):
     )
     # The optimized paths must beat the reference paths on any machine.
     assert result["ingest_speedup_dict"] > 1.0
-    assert result["ingest_speedup_hybrid"] > 1.0
     assert result["snapshot_speedup"] > 1.0
     if os.environ.get("REPRO_BENCH_ENFORCE") == "1":
         assert result["ingest_speedup_dict"] >= 1.5
-        assert result["ingest_speedup_hybrid"] >= 5.0, (
-            f"hybrid ingest speedup {result['ingest_speedup_hybrid']:.2f}x "
-            "is below the 5x acceptance floor"
-        )
         assert result["snapshot_speedup"] >= 3.0
         if BASELINE_PATH.exists():
             baseline = json.loads(BASELINE_PATH.read_text())
             # Speedups are measured A/B under identical load, so they are
             # stable where absolute seconds on a shared box are not: refuse
             # a >20% drop.  Absolute times only get a gross 2x backstop.
-            for key in ("ingest_speedup_dict", "ingest_speedup_hybrid",
-                        "snapshot_speedup"):
+            for key in ("ingest_speedup_dict", "snapshot_speedup"):
                 if key in baseline:
                     assert result[key] >= baseline[key] * 0.8, (
                         f"{key} regressed >20% vs committed baseline: "
                         f"{result[key]:.2f}x vs {baseline[key]:.2f}x"
                     )
-            for key in ("ingest_vectorized_s", "ingest_hybrid_s",
-                        "snapshot_delta_s", "matrix_row_s"):
+            for key in ("ingest_vectorized_s", "snapshot_delta_s",
+                        "matrix_row_s"):
                 if key in baseline:
                     assert result[key] <= baseline[key] * 2.0, (
                         f"{key} regressed >2x vs committed baseline: "

@@ -21,12 +21,12 @@ Commands:
   timeline as Chrome trace-event JSON (viewable in Perfetto).
 * ``top`` — live view of an in-flight run via its ``--heartbeat`` file.
 * ``tune`` — auto-tune policy knobs (ABR TH/lambda/n, OCA threshold,
-  batch size, adjacency, ...) over a declared search space with a
+  batch size, ...) over a declared search space with a
   pluggable optimizer; trials are journaled so a killed search resumes
   (docs/TUNING.md).
 * ``serve`` — long-running live edge-ingest service: TCP line-JSON
-  clients stream edges through multi-tenant admission into CAD-sized
-  micro-batches; queries are answered from the latest snapshot
+  clients stream edges through multi-tenant admission into micro-batches;
+  queries are answered from the latest snapshot
   (docs/SERVE.md).
 * ``loadgen`` — synthetic multi-client driver for a running ``serve``.
 * ``cache`` — inspect or clear the on-disk stream cache.
@@ -47,7 +47,6 @@ from .analysis.report import render_kv, render_table
 from .datasets.profiles import BATCH_SIZES, DATASETS, get_dataset
 from .exec_model.machine import SIMULATED_MACHINE
 from .graph.adjacency_list import AdjacencyListGraph
-from .graph.formats import ADJACENCY_FORMATS, DEFAULT_ADJACENCY
 from .hau.simulator import HAUSimulator
 from .pipeline.config import RunConfig
 from .pipeline.modes import MODES
@@ -368,7 +367,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     config = RunConfig.from_serve_args(args)
     settings = ServeSettings.from_env(
         batch_target=args.serve_batch or args.batch_size,
-        batch_min=args.serve_batch_min,
         queue_depth=args.queue_depth,
         max_pending=args.max_pending,
         fair_share=args.fair_share,
@@ -376,8 +374,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         burst=args.burst,
         max_delay=args.max_delay,
     )
-    if args.fixed_batching:
-        settings.adaptive = False
     if args.checkpoint:
         settings.checkpoint_dir = args.checkpoint
         settings.checkpoint_every = args.every
@@ -844,12 +840,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes for multi-dataset runs (0 = all cores)",
     )
     run.add_argument(
-        "--adjacency", choices=sorted(ADJACENCY_FORMATS), default=None,
-        help="adjacency format for the run's graph (results are "
-        "bit-identical across formats; default: $REPRO_ADJ_FORMAT or "
-        f"{DEFAULT_ADJACENCY!r})",
-    )
-    run.add_argument(
         "--checkpoint", metavar="DIR",
         help="checkpoint pipeline state into DIR and auto-resume from the "
         "newest checkpoint found there (single dataset only)",
@@ -886,20 +876,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="instrumentation level (default: basic)",
     )
     serve.add_argument(
-        "--adjacency", choices=sorted(ADJACENCY_FORMATS), default=None,
-    )
-    serve.add_argument(
         "--serve-batch", type=int, default=None, metavar="EDGES",
         help="micro-batch target size (default: --batch-size or "
         "$REPRO_SERVE_BATCH)",
-    )
-    serve.add_argument(
-        "--serve-batch-min", type=int, default=None, metavar="EDGES",
-        help="smallest CAD early-cut batch ($REPRO_SERVE_BATCH_MIN)",
-    )
-    serve.add_argument(
-        "--fixed-batching", action="store_true",
-        help="disable the CAD-aware early cut (fixed-size micro-batches)",
     )
     serve.add_argument(
         "--queue-depth", type=int, default=None, metavar="N",

@@ -4,13 +4,6 @@ from .base import BatchUpdateStats, DirectionStats, DynamicGraph, GraphDelta
 from .adjacency_list import AdjacencyListGraph
 from .degree_aware_hash import DegreeAwareHashGraph
 from .edge_log import EdgeLogGraph
-from .formats import (
-    ADJACENCY_FORMATS,
-    DEFAULT_ADJACENCY,
-    make_adjacency_graph,
-    resolve_adjacency_format,
-)
-from .hybrid import HybridAdjacencyGraph
 from .reference import ReferenceAdjacencyListGraph
 from .snapshot import CSRSnapshot, DeltaSnapshotter, take_snapshot
 from .stats import (
@@ -28,14 +21,9 @@ __all__ = [
     "DynamicGraph",
     "GraphDelta",
     "AdjacencyListGraph",
-    "HybridAdjacencyGraph",
     "ReferenceAdjacencyListGraph",
     "DegreeAwareHashGraph",
     "EdgeLogGraph",
-    "ADJACENCY_FORMATS",
-    "DEFAULT_ADJACENCY",
-    "make_adjacency_graph",
-    "resolve_adjacency_format",
     "CSRSnapshot",
     "DeltaSnapshotter",
     "take_snapshot",

@@ -203,14 +203,14 @@ class DynamicGraph(abc.ABC):
         """
         return 0.0
 
+    @abc.abstractmethod
     def track_deltas(self, enabled: bool = True) -> None:
         """Start (or stop) recording out-direction deltas for snapshot patching.
 
-        Off by default so plain ingest pays no tracking cost; the default
-        implementation ignores the request (structures without tracking
-        simply keep returning ``None`` from :meth:`consume_delta`).
+        Off by default so plain ingest pays no tracking cost.
         """
 
+    @abc.abstractmethod
     def consume_delta(self) -> GraphDelta | None:
         """Return and clear the out-direction delta recorded since last call.
 
@@ -218,14 +218,17 @@ class DynamicGraph(abc.ABC):
         journal, so attach at most one delta consumer per graph.  ``None``
         means "unknown — rebuild snapshots from scratch".
         """
-        return None
 
-    def touched_count(self) -> int | None:
-        """Number of vertices with at least one incident edge ever, or None
-        if the structure does not track it (used to size rebuild-vs-patch
-        decisions without materializing the vertex list)."""
-        return None
+    @abc.abstractmethod
+    def vertices_with_edges(self) -> list[int]:
+        """Sorted vertices that have ever had an incident edge (read-only)."""
 
+    @abc.abstractmethod
+    def touched_count(self) -> int:
+        """Number of vertices with at least one incident edge ever (sizes
+        rebuild-vs-patch decisions without materializing the vertex list)."""
+
+    @abc.abstractmethod
     def notify_external_mutation(self) -> None:
         """Rebuild derived bookkeeping after direct adjacency mutation.
 
@@ -235,8 +238,6 @@ class DynamicGraph(abc.ABC):
         maintained state (edge counts, degree caches, delta journals) is
         recomputed from the mappings.
         """
-        out_adj, __ = self.adjacency_views()
-        self.num_edges = sum(map(len, out_adj.values()))
 
     @abc.abstractmethod
     def out_degrees(self) -> np.ndarray:

@@ -61,7 +61,7 @@ class CSRSnapshot:
 
 def take_snapshot(graph: DynamicGraph) -> CSRSnapshot:
     """Materialize the current state of ``graph`` as a CSR snapshot."""
-    touched = graph.vertices_with_edges() if hasattr(graph, "vertices_with_edges") else list(range(graph.num_vertices))
+    touched = graph.vertices_with_edges()
     num_vertices = graph.num_vertices
     adjacency_of = graph.out_neighbors
     degrees = np.zeros(num_vertices, dtype=np.int64)

@@ -171,9 +171,10 @@ class PipelineCheckpoint:
         :class:`~repro.pipeline.config.RunConfig` the dicts are compared
         and a mismatch raises, because silently continuing a stream under
         different parameters is exactly the corruption checkpoints exist
-        to prevent.  Headers written before the sharded runtime was removed
-        carry its three fields; a one-shard header still resumes, a sharded
-        one is refused here, before its payload is unpickled.
+        to prevent.  Older headers carry retired fields (the sharded
+        runtime's three, ``adjacency``); a one-shard, dict-format header
+        still resumes, and a sharded or hybrid one is refused here, before
+        its payload is unpickled.
 
         Returns:
             The same ``pipeline`` object, for chaining.

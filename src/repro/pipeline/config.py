@@ -26,7 +26,6 @@ from ..compute.registry import get_algorithm
 from ..costs import ComputeCostParameters, CostParameters
 from ..errors import ConfigurationError
 from ..exec_model.machine import HOST_MACHINE, SIMULATED_MACHINE, MachineConfig
-from ..graph.formats import ADJACENCY_FORMATS, resolve_adjacency_format
 from ..telemetry.core import TELEMETRY_LEVELS, make_telemetry
 from ..update.abr import ABRConfig
 from ..update.strategies import resolve_strategy
@@ -54,26 +53,36 @@ _NESTED_FIELDS: dict[str, type] = {
     "oca": OCAConfig,
 }
 
-#: Fields of the retired sharded runtime that older checkpoint headers and
-#: ``best_config.json`` files still carry.
-_RETIRED_KEYS = ("num_shards", "shard_transport", "shard_policy")
+#: Fields of retired runtimes that older checkpoint headers and
+#: ``best_config.json`` files still carry: the sharded runtime's three and
+#: the adjacency-format choice.
+_RETIRED_KEYS = ("num_shards", "shard_transport", "shard_policy", "adjacency")
 
 
 def drop_retired_keys(data: dict) -> dict:
-    """``data`` without the retired sharding fields of older configs.
+    """``data`` without the retired fields of older configs.
 
-    At one shard those fields changed nothing (transport and policy were
-    ignored), so such a config still names a valid serial run.
+    At one shard the sharding fields changed nothing (transport and policy
+    were ignored), and ``adjacency="dict"`` names the only graph format
+    left, so such a config still names a valid serial run.
 
     Raises:
-        ConfigurationError: the config asked for more than one shard,
-            which no runtime can honour any more.
+        ConfigurationError: the config asked for more than one shard, or
+            for an adjacency format other than ``"dict"``, which no
+            runtime can honour any more.
     """
     num_shards = data.get("num_shards", 1)
     if num_shards != 1:
         raise ConfigurationError(
             f"config has num_shards={num_shards!r}, but the sharded runtime "
             "was removed; only serial (num_shards=1) configs still load"
+        )
+    adjacency = data.get("adjacency", "dict")
+    if adjacency != "dict":
+        raise ConfigurationError(
+            f"config has adjacency={adjacency!r}, but the hybrid adjacency "
+            "format was removed; its results were always equal to the dict "
+            "format's, so deleting the 'adjacency' key runs the same config"
         )
     return {k: v for k, v in data.items() if k not in _RETIRED_KEYS}
 
@@ -100,11 +109,6 @@ class RunConfig:
         telemetry: instrumentation level — ``"off"`` (no-op backend),
             ``"basic"`` (counters/gauges/decision ledger) or ``"full"``
             (adds wall-clock spans and histograms).
-        adjacency: adjacency-format name (see
-            :data:`~repro.graph.formats.ADJACENCY_FORMATS`) — ``"dict"``
-            per-vertex dicts or ``"hybrid"`` degree-adaptive pooled
-            arrays.  Results are bit-identical across formats; only
-            wall-clock changes.
     """
 
     dataset: str
@@ -123,7 +127,6 @@ class RunConfig:
     abr: ABRConfig | None = None
     oca: OCAConfig | None = None
     telemetry: str = "off"
-    adjacency: str = "dict"
 
     def __post_init__(self) -> None:
         get_algorithm(self.algorithm)  # raises ConfigurationError if unknown
@@ -146,11 +149,6 @@ class RunConfig:
         if self.batch_size < 1:
             raise ConfigurationError(
                 f"batch_size must be >= 1, got {self.batch_size}"
-            )
-        if self.adjacency not in ADJACENCY_FORMATS:
-            raise ConfigurationError(
-                f"adjacency must be one of {sorted(ADJACENCY_FORMATS)}, "
-                f"got {self.adjacency!r}"
             )
 
     # -- derived views --------------------------------------------------------
@@ -175,8 +173,8 @@ class RunConfig:
     def from_dict(cls, data: dict) -> "RunConfig":
         """Inverse of :meth:`to_dict`; validates like the constructor.
 
-        Older dicts with the retired sharding fields load when they ask
-        for one shard (see :func:`drop_retired_keys`).
+        Older dicts with retired fields load when they ask for one shard
+        and the dict adjacency format (see :func:`drop_retired_keys`).
         """
         kwargs = drop_retired_keys(data)
         for name, config_cls in _NESTED_FIELDS.items():
@@ -204,9 +202,6 @@ class RunConfig:
             use_oca=args.oca,
             num_batches=args.num_batches,
             telemetry=getattr(args, "telemetry", None) or "off",
-            adjacency=resolve_adjacency_format(
-                getattr(args, "adjacency", None)
-            ),
         )
 
     @classmethod
@@ -226,9 +221,6 @@ class RunConfig:
             mode=args.mode,
             num_batches=None,
             telemetry=getattr(args, "telemetry", None) or "basic",
-            adjacency=resolve_adjacency_format(
-                getattr(args, "adjacency", None)
-            ),
         )
 
     @classmethod
@@ -314,7 +306,6 @@ class RunConfig:
             sssp_source=self.sssp_source,
             trace=trace,
             telemetry=telemetry,
-            adjacency=self.adjacency,
             **kwargs,
         )
         # Checkpoints embed the originating config so resume can reject a

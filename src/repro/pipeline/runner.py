@@ -37,8 +37,8 @@ from ..costs import (
 from ..datasets.profiles import DatasetProfile
 from ..datasets.stream import Batch, sorted_unique
 from ..exec_model.machine import HOST_MACHINE, MachineConfig
+from ..graph.adjacency_list import AdjacencyListGraph
 from ..graph.base import DynamicGraph
-from ..graph.formats import make_adjacency_graph
 from ..telemetry.core import as_telemetry
 from ..update.abr import ABRConfig
 from ..update.engine import UpdateEngine, UpdatePolicy
@@ -135,11 +135,9 @@ class StreamingPipeline:
         abr_config: ABR parameters.
         oca_config: OCA parameters.
         hau: accelerator simulator (required for HAU policies).
-        graph: pre-built graph to reuse; defaults to a fresh graph of the
-            selected adjacency format.
+        graph: pre-built graph to reuse; defaults to a fresh
+            :class:`~repro.graph.adjacency_list.AdjacencyListGraph`.
         seed: stream generator seed.
-        adjacency: adjacency-format name for the default graph (see
-            :mod:`repro.graph.formats`); ignored when ``graph`` is given.
         telemetry: optional :class:`~repro.telemetry.core.Telemetry`
             backend threaded through every stage and subsystem (engine,
             OCA, HAU, snapshotter); None runs uninstrumented at ~zero cost.
@@ -165,7 +163,6 @@ class StreamingPipeline:
         sssp_source: int | None = None,
         trace=None,
         telemetry=None,
-        adjacency: str | None = None,
     ):
         algorithm_cls = get_algorithm(algorithm)
         self.profile = profile
@@ -174,12 +171,9 @@ class StreamingPipeline:
         self.machine = machine
         self.costs = costs
         self.compute_costs = compute_costs
-        #: Telemetry backend shared by every stage and subsystem (created
-        #: before the graph so format-level counters land on it too).
+        #: Telemetry backend shared by every stage and subsystem.
         self.telemetry = as_telemetry(telemetry)
-        self.graph = graph or make_adjacency_graph(
-            adjacency, profile.num_vertices, telemetry=self.telemetry
-        )
+        self.graph = graph or AdjacencyListGraph(profile.num_vertices)
         self.engine = UpdateEngine(
             self.graph,
             policy=policy,

@@ -5,9 +5,10 @@ stream *live*.  An asyncio TCP server (:mod:`repro.serve.server`) takes
 line-JSON edge submissions from many concurrent clients, runs them through
 multi-tenant admission control (:mod:`repro.serve.admission`: token-bucket
 rate limiting, a per-tenant fairness cap, and global backpressure), cuts
-them into micro-batches sized by the paper's input knowledge (CAD, §4.2),
-and drives the existing :class:`~repro.pipeline.runner.StreamingPipeline`
-one :meth:`~repro.pipeline.runner.StreamingPipeline.step` at a time on a
+them into micro-batches (at a size cap, or at once when the pipeline is
+idle), and drives the existing
+:class:`~repro.pipeline.runner.StreamingPipeline` one
+:meth:`~repro.pipeline.runner.StreamingPipeline.step` at a time on a
 dedicated thread.  Queries (PageRank top-k, triangle count, vertex degree)
 are answered between steps from the latest completed snapshot, stamped
 with an ingest-to-visible watermark.

@@ -1,4 +1,4 @@
-"""Multi-tenant admission control and input-knowledge micro-batching.
+"""Multi-tenant admission control and micro-batching.
 
 Two concerns, deliberately separated from the network layer so both are
 unit-testable with an injected clock:
@@ -15,19 +15,14 @@ unit-testable with an injected clock:
   completed pipeline step — so backpressure reflects real ingest lag, not
   just buffer occupancy.
 
-* :class:`MicroBatcher` accumulates admitted edges and chooses batch
-  boundaries online.  This is the paper's input-knowledge story (§4.2,
-  Fig. 18) applied to batch *sizing*: while the buffered edges look
-  degree-flat (low CAD) the batcher keeps growing the batch toward
-  ``target_edges`` for throughput; when the buffered input develops the
-  hub concentration ABR looks for (CAD ≥ TH, computed with the same
-  :func:`~repro.update.cad.cad_from_degrees` the update engine uses), it
-  cuts early — the batch is already RO-friendly, and a prompt cut keeps
-  ingest-to-visible latency low while handing the update engine a batch
-  whose reordering pays.  Time never cuts: the server hands the whole
-  buffer to its pipeline driver the moment the driver is idle (an
-  ``"idle"`` cut, see :mod:`repro.serve.server`), so batch size follows
-  load, and a drain cut flushes the partial tail on shutdown.
+* :class:`MicroBatcher` accumulates admitted edges in arrival order and
+  calls for a cut once the buffer reaches ``target_edges``.  Time never
+  cuts: the server hands the whole buffer to its pipeline driver the
+  moment the driver is idle (an ``"idle"`` cut, see
+  :mod:`repro.serve.server`), so batch size follows load, and a drain cut
+  flushes the partial tail on shutdown.  The input-knowledge decisions
+  (ABR's reordering, USC) stay in the update engine, which sees exactly
+  the batches the server cuts.
 
 All waiting is the *caller's* job: :meth:`AdmissionController.admit`
 never sleeps, it returns a decision with a suggested delay, so an asyncio
@@ -43,7 +38,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import ConfigurationError
-from ..update.cad import cad_from_degrees
 
 __all__ = [
     "AdmissionController",
@@ -275,8 +269,8 @@ class PendingBatch:
             visibility watermark advances to this after the step).
         markers: ``(seq, admit_monotonic)`` pairs for ingest-to-visible
             latency sampling (one per submission, not per edge).
-        cut_reason: why the boundary fell here — ``"target"``, ``"cad"``,
-            ``"idle"``, ``"flush"`` or ``"drain"``.
+        cut_reason: why the boundary fell here — ``"target"``, ``"idle"``,
+            ``"flush"`` or ``"drain"``.
     """
 
     src: np.ndarray
@@ -296,42 +290,20 @@ class PendingBatch:
 class MicroBatcher:
     """Accumulates admitted edges and picks batch boundaries online.
 
-    Single-threaded by design (owned by the server's event loop); only the
-    cut boundary decision consults input knowledge.
+    Single-threaded by design (owned by the server's event loop).
 
     Args:
         target_edges: throughput-oriented batch size cap (a cut happens at
-            this size regardless of shape).
-        min_edges: smallest batch the CAD early-cut may produce (degree
-            statistics below this are too noisy to act on).
-        adaptive: enable the CAD early-cut (False = fixed-size batching).
-        lam / threshold: the ABR parameters (§6.2.3 defaults) used for the
-            CAD measurement.
+            this size).
         clock: monotonic clock, injectable for tests.
     """
 
-    def __init__(
-        self,
-        target_edges: int = 10_000,
-        min_edges: int = 512,
-        adaptive: bool = True,
-        lam: int = 256,
-        threshold: float = 465.0,
-        clock=time.monotonic,
-    ):
+    def __init__(self, target_edges: int = 10_000, clock=time.monotonic):
         if target_edges < 1:
             raise ConfigurationError(
                 f"target_edges must be >= 1, got {target_edges}"
             )
-        if min_edges < 1 or min_edges > target_edges:
-            raise ConfigurationError(
-                f"min_edges must be in [1, target_edges], got {min_edges}"
-            )
         self.target_edges = target_edges
-        self.min_edges = min_edges
-        self.adaptive = adaptive
-        self.lam = lam
-        self.threshold = threshold
         self._clock = clock
         self._reset()
         #: Global edge sequence number of the last admitted edge.
@@ -347,16 +319,10 @@ class MicroBatcher:
         self._has_delete = False
         self._tenant_counts: dict[str, int] = {}
         self._markers: list[tuple[int, float]] = []
-        self._cad = 0.0
 
     @property
     def size(self) -> int:
         return len(self._src)
-
-    @property
-    def cad(self) -> float:
-        """CAD of the current buffer as of the last append."""
-        return self._cad
 
     def append(
         self,
@@ -390,41 +356,16 @@ class MicroBatcher:
         self._tenant_counts[tenant] = self._tenant_counts.get(tenant, 0) + n
         self.seq += n
         self._markers.append((self.seq, now))
-        if self.adaptive and self.size >= self.min_edges:
-            self._cad = self._measure_cad()
         return self.seq
 
-    def _measure_cad(self) -> float:
-        """CAD over the buffered edges (max of the two endpoint sides)."""
-        size = self.size
-        __, in_counts = np.unique(
-            np.asarray(self._dst, dtype=np.int64), return_counts=True
-        )
-        __, out_counts = np.unique(
-            np.asarray(self._src, dtype=np.int64), return_counts=True
-        )
-        return max(
-            cad_from_degrees(in_counts, size, self.lam),
-            cad_from_degrees(out_counts, size, self.lam),
-        )
-
     def cut_due(self) -> str | None:
-        """The reason the buffer's content calls for a cut, or None.
+        """``"target"`` once the buffer reaches the size cap, else None.
 
-        Checked after appends: ``"target"`` (size cap) or ``"cad"`` (the
-        buffer became RO-friendly).  The other cuts (``"idle"``,
-        ``"flush"``, ``"drain"``) are the server's to make.
+        Checked after appends.  The other cuts (``"idle"``, ``"flush"``,
+        ``"drain"``) are the server's to make.
         """
-        if self.size == 0:
-            return None
         if self.size >= self.target_edges:
             return "target"
-        if (
-            self.adaptive
-            and self.size >= self.min_edges
-            and self._cad >= self.threshold
-        ):
-            return "cad"
         return None
 
     def cut(self, reason: str) -> PendingBatch:

@@ -22,7 +22,7 @@ The hand-off is work-conserving, with no timer.  When the driver finds
 no batch queued it turns idle and asks the loop to cut the buffer at once;
 when an append finds the driver idle, the loop cuts at once.  So a lone
 submission at low load is its own micro-batch, and under load a batch is
-everything that arrived during the previous step (or a ``target``/CAD
+everything that arrived during the previous step (or a ``target``
 cut).  Both transitions — the driver's "nothing queued → idle" and the
 loop's "idle → enqueue, busy" — happen under one lock, so an edge can
 never be left buffered behind a driver that is blocked on an empty queue.
@@ -95,8 +95,6 @@ class ServeSettings:
 
     Attributes:
         batch_target: micro-batch size cap (edges) — the throughput cut.
-        batch_min: smallest CAD early-cut batch (noise floor).
-        adaptive: CAD-aware batch sizing (False = fixed-size cuts).
         queue_depth: bounded hand-off queue length (batches).
         max_pending: global admitted-but-not-visible edge cap.
         fair_share: fraction of ``max_pending`` one tenant may hold.
@@ -110,8 +108,6 @@ class ServeSettings:
     """
 
     batch_target: int = 10_000
-    batch_min: int = 512
-    adaptive: bool = True
     queue_depth: int = 8
     max_pending: int = 200_000
     fair_share: float = 0.5
@@ -128,7 +124,6 @@ class ServeSettings:
         """Defaults ← ``REPRO_SERVE_*`` environment ← explicit overrides."""
         values = {
             "batch_target": _env("REPRO_SERVE_BATCH", cls.batch_target, int),
-            "batch_min": _env("REPRO_SERVE_BATCH_MIN", cls.batch_min, int),
             "queue_depth": _env("REPRO_SERVE_QUEUE", cls.queue_depth, int),
             "max_pending": _env(
                 "REPRO_SERVE_MAX_PENDING", cls.max_pending, int
@@ -418,17 +413,7 @@ class ServeServer:
         self.settings = settings or ServeSettings()
         self.monitor = monitor
         self.pipeline = config.build_pipeline()
-        abr = config.abr
-        from ..update.abr import ABRConfig
-
-        abr = abr or ABRConfig()
-        self.batcher = MicroBatcher(
-            target_edges=self.settings.batch_target,
-            min_edges=min(self.settings.batch_min, self.settings.batch_target),
-            adaptive=self.settings.adaptive,
-            lam=abr.lam,
-            threshold=abr.threshold,
-        )
+        self.batcher = MicroBatcher(target_edges=self.settings.batch_target)
         self.admission = AdmissionController(
             max_pending=self.settings.max_pending,
             fair_share=self.settings.fair_share,
@@ -748,7 +733,6 @@ class ServeServer:
             }
         payload["queue_depth"] = self._batch_queue.qsize()
         payload["buffer_edges"] = self.batcher.size
-        payload["buffer_cad"] = round(self.batcher.cad, 3)
         payload["cut_reasons"] = dict(self.batcher.cut_reasons)
         payload["ingest_to_visible_s"] = self.state.latency_quantiles()
         payload["admission"] = self.admission.stats()

@@ -56,7 +56,7 @@ def main() -> int:
             [
                 sys.executable, "-m", "repro", "serve", "wiki",
                 "--port", "0", "--port-file", str(port_file),
-                "--serve-batch", "1000", "--serve-batch-min", "128",
+                "--serve-batch", "1000",
                 "--checkpoint", str(checkpoint_dir), "--every", "2",
                 "--heartbeat", str(heartbeat),
             ],

@@ -4,7 +4,7 @@ A :class:`SearchSpace` declares which run-config knobs an auto-tuning search
 may move and within which bounds, as plain data with a JSON round-trip (so a
 space ships in a file next to its results).  Each :class:`Dimension` names a
 dotted path into ``RunConfig`` — top-level fields (``batch_size``,
-``adjacency``) or fields of the nested parameter dataclasses
+``mode``) or fields of the nested parameter dataclasses
 (``abr.threshold``, ``oca.overlap_threshold``, ``costs.usc_hash_insert``) —
 and the space's :meth:`~SearchSpace.apply` turns an assignment (a plain
 ``{dimension name: value}`` dict) into a fully validated ``RunConfig``.
@@ -16,7 +16,8 @@ Dimension kinds:
   decades such as ABR's TH);
 * ``integer`` — an int in ``[low, high]``, optionally log-scaled
   (ABR's n and lambda, batch_size);
-* ``categorical`` — one of ``choices`` (adjacency format).
+* ``categorical`` — one of ``choices`` (e.g. ``mode``; no built-in space
+  has one).
 
 An integer dimension may additionally declare ``transform="pow2"``: the
 searched value is an *exponent* and the config receives ``2**value``.  The
@@ -365,23 +366,21 @@ def _builtin_spaces() -> dict[str, SearchSpace]:
     abr = _abr_dimensions()
     batch = Dimension("batch_size", "batch_size", "integer",
                       low=200, high=5000, log=True)
-    adjacency = Dimension("adjacency", "adjacency", "categorical",
-                          choices=("dict", "hybrid"))
     oca = Dimension("oca_threshold", "oca.overlap_threshold", "continuous",
                     low=0.05, high=0.9)
     usc_bits = Dimension("usc_hash_bits", "costs.usc_hash_insert", "integer",
                          low=1, high=5, transform="pow2")
     return {
         "abr": SearchSpace("abr", abr),
-        "demo": SearchSpace("demo", (abr[0], abr[2], batch, adjacency)),
-        "full": SearchSpace("full", abr + (oca, usc_bits, batch, adjacency)),
+        "demo": SearchSpace("demo", (abr[0], abr[2], batch)),
+        "full": SearchSpace("full", abr + (oca, usc_bits, batch)),
     }
 
 
 #: Named spaces shipped with the library: ``"abr"`` (the paper's §6.2.3
 #: design parameters alone), ``"demo"`` (a small, cheap space exercising
-#: ABR plus the batch-size / adjacency axes — the default for ``repro
-#: tune``), ``"full"`` (every tunable policy axis at once).
+#: ABR plus the batch-size axis — the default for ``repro tune``),
+#: ``"full"`` (every tunable policy axis at once).
 BUILTIN_SPACES: dict[str, SearchSpace] = _builtin_spaces()
 
 

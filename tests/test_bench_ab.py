@@ -41,8 +41,12 @@ def test_summary_counts_wins_in_each_metrics_direction():
     base = summary["metrics"]["edges_per_s"]["base"]
     assert base["median"] == 100
     assert base["q1"] == pytest.approx(97.5) and base["q3"] == pytest.approx(102.5)
-    assert summary["change"] == {"correct_runs": 3, "failed": 10, "attempted": 40}
-    assert summary["base"] == {"correct_runs": 4, "failed": 0, "attempted": 40}
+    assert summary["change"] == {
+        "correct_runs": 3, "failed": 10, "attempted": 40, "failed_checks": [],
+    }
+    assert summary["base"] == {
+        "correct_runs": 4, "failed": 0, "attempted": 40, "failed_checks": [],
+    }
 
 
 def test_report_prints_every_metric_and_side(capsys):
@@ -138,3 +142,78 @@ def test_trace_runs_traced_and_compares_the_per_layer_metrics(monkeypatch, capsy
     assert summary["trace"] == 1
     assert list(summary["metrics"]) == [m["name"] for m in spec["per_layer"]]
     assert {e["verdict"] for e in summary["metrics"].values()} == {"no gain"}
+
+
+def _stdout(run, *before):
+    """perfbench's stdout: diagnostic lines, then the run's JSON line."""
+    return "\n".join(["machine probe: 0.1000 s (diagnostic only)", *before,
+                      bench_ab.json.dumps(run)]) + "\n"
+
+
+def test_parse_run_keeps_failed_checks_and_server_cpu():
+    plain = bench_ab.parse_run(_stdout(_run(100, 50), "edges_per_s: 100 edges/s"))
+    assert plain["checks_failed"] == [] and plain["server_cpu_s"] is None
+    assert plain["metrics"]["edges_per_s"]["value"] == 100
+    traced = bench_ab.parse_run(_stdout(
+        _run(100, 50, failed=4, correct=False),
+        "CHECK FAILED: 4 edges never became visible",
+        "CHECK FAILED: lag_edges 12 != 0 at the end",
+        "  unattributed      6.70 ms (send lateness, admission, cut, watermark polling)",
+        "server CPU s: untraced 7.712, traced 8.950",
+    ))
+    assert traced["checks_failed"] == [
+        "4 edges never became visible", "lag_edges 12 != 0 at the end",
+    ]
+    assert traced["server_cpu_s"] == 7.712
+    assert traced["correct"] is False and traced["failed"] == 4
+
+
+def test_failed_checks_print_under_their_pair_and_reach_the_summary(
+    monkeypatch, capsys,
+):
+    spec = bench_ab.json.loads((bench_ab.ROOT / "BENCHMARK.json").read_text())
+
+    def fake_run(tree, workload, seed, seconds, trace=0):
+        correct = not (tree == bench_ab.ROOT and seed == 8)
+        lines = [] if correct else ["CHECK FAILED: 32 degree answers wrong"]
+        run = {
+            "correct": correct, "attempted": 10, "failed": 0 if correct else 1,
+            "metrics": {m["name"]: {"value": 1.0} for m in spec["end_to_end"]},
+        }
+        return {**bench_ab.parse_run(_stdout(run, *lines)), "seed": seed}
+
+    monkeypatch.setattr(bench_ab, "export", lambda rev, dest: None)
+    monkeypatch.setattr(bench_ab, "run_once", fake_run)
+    assert bench_ab.main(["--base", "HEAD", "--workload", "serve-fb",
+                          "--pairs", "2", "--seed", "7"]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    at = lines.index("  CHECK FAILED: 32 degree answers wrong")
+    assert lines[at - 1].startswith("pair 2/2 seed 8 change: correct=False")
+    assert "  seed 8: CHECK FAILED: 32 degree answers wrong" in lines
+    summary = bench_ab.json.loads(lines[-1])
+    assert summary["change"]["failed_checks"] == [
+        {"seed": 8, "check": "32 degree answers wrong"},
+    ]
+    assert summary["base"]["failed_checks"] == []
+    assert "server_cpu_s" not in summary  # untraced runs do not print it
+
+
+def test_server_cpu_is_a_row_without_a_verdict(capsys):
+    def run(cpu):
+        return {**_run(100, 50), "server_cpu_s": cpu}
+
+    pairs = [{"base": run(b), "change": run(c)}
+             for b, c in [(9.4, 7.7), (10.5, 8.4), (10.0, 8.0)]]
+    summary = bench_ab.summarize(pairs, METRICS)
+    cpu = summary["server_cpu_s"]
+    assert cpu["base"] == {"median": 10.0, "q1": 9.7, "q3": 10.25}
+    assert cpu["change"]["median"] == 8.0
+    assert cpu["verdict"].startswith("no verdict: the closed-loop query client")
+    assert "server_cpu_s" not in summary["metrics"]  # no gain test, no bound
+    bench_ab.report(summary)
+    row = next(line for line in capsys.readouterr().out.splitlines()
+               if line.startswith("server_cpu_s"))
+    assert "no verdict" in row and " - " in row
+    # A side without the line (an untraced or offline run) drops the row.
+    pairs[0]["base"]["server_cpu_s"] = None
+    assert "server_cpu_s" not in bench_ab.summarize(pairs, METRICS)

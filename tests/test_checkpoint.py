@@ -189,16 +189,18 @@ def test_cursor_outside_window_rejected(tmp_path):
         fresh.run(4, resume_from=checkpoint)
 
 
-# -- headers written before the sharded runtime was removed -----------------
+# -- headers written by older versions ---------------------------------------
 def _legacy_checkpoint(tmp_path, **legacy):
     """A cursor-5 checkpoint whose saved header carries the retired
-    sharding fields, as every header written before their removal does."""
+    sharding and adjacency-format fields, as every header written before
+    their removal does."""
     pipeline = CONFIG.build_pipeline()
     pipeline.run(5)
     checkpoint = PipelineCheckpoint.capture(pipeline)
     config = {
         **checkpoint.config,
         "num_shards": 1, "shard_transport": "shm", "shard_policy": "mod",
+        "adjacency": "dict",
         **legacy,
     }
     checkpoint = dataclasses.replace(checkpoint, config=config)
@@ -223,6 +225,19 @@ def test_legacy_sharded_header_refused_before_unpickling(tmp_path):
     hand_built = CONFIG.build_pipeline()
     hand_built.run_config = None
     with pytest.raises(CheckpointError, match="sharded runtime was removed"):
+        checkpoint.restore(hand_built)
+
+
+def test_legacy_hybrid_header_refused_before_unpickling(tmp_path):
+    # A hybrid payload pickles a graph class that no longer exists.
+    checkpoint = dataclasses.replace(
+        _legacy_checkpoint(tmp_path, adjacency="hybrid"), payload=b"not a pickle"
+    )
+    with pytest.raises(CheckpointError, match="cannot resume: .*hybrid"):
+        checkpoint.restore(CONFIG.build_pipeline())
+    hand_built = CONFIG.build_pipeline()
+    hand_built.run_config = None
+    with pytest.raises(CheckpointError, match="cannot resume: .*hybrid"):
         checkpoint.restore(hand_built)
 
 
@@ -270,20 +285,16 @@ def test_checkpoint_telemetry_counters(tmp_path):
 
 
 # -- the acceptance criterion: kill, resume, compare ------------------------
-@pytest.mark.parametrize("adjacency", ["dict", "hybrid"])
-def test_kill_and_resume_bit_identical(tmp_path, adjacency):
+def test_kill_and_resume_bit_identical(tmp_path):
     """Hard-kill a checkpointed run mid-stream (os._exit in a child
     process), resume from the newest on-disk checkpoint in a fresh
-    pipeline, and the final RunMetrics equal the uninterrupted run's.
-    Runs under both adjacency formats: the hybrid graph's pooled arrays
-    and hub dicts must survive the pickle round trip mid-promotion."""
-    config = dataclasses.replace(CONFIG, adjacency=adjacency)
-    expected = _run_uninterrupted(config)
+    pipeline, and the final RunMetrics equal the uninterrupted run's."""
+    expected = _run_uninterrupted()
 
     checkpoint_dir = tmp_path / "ckpts"
     child = multiprocessing.Process(
         target=faultinject.run_checkpointed_and_die,
-        args=(config.to_json(), str(checkpoint_dir), 2, 7),
+        args=(CONFIG.to_json(), str(checkpoint_dir), 2, 7),
     )
     child.start()
     child.join(timeout=120)
@@ -294,8 +305,8 @@ def test_kill_and_resume_bit_identical(tmp_path, adjacency):
     checkpoint, _ = found
     assert checkpoint.cursor == 6  # checkpoints at 2, 4, 6; died before 7
 
-    resumed = config.build_pipeline()
-    metrics = resumed.run(config.num_batches, resume_from=checkpoint)
+    resumed = CONFIG.build_pipeline()
+    metrics = resumed.run(CONFIG.num_batches, resume_from=checkpoint)
     assert metrics == expected
     assert metrics.batches == expected.batches  # per-batch rows, exact
 

@@ -3,8 +3,8 @@
 ``IncrementalPageRank`` must return ranks bit-identical to the loop kept in
 ``tests/pagerank_reference.py`` (``np.array_equal``) and equal
 ``ComputeCounters`` after every call — for any stream, any form of the
-``affected`` argument, any convergence settings, either runtime adjacency
-format and any split of rounds between its scalar and numpy paths.  Also
+``affected`` argument, any convergence settings and any split of rounds
+between its scalar and numpy paths.  Also
 pins the graph degree accessors the kernel reads and the engine's
 checkpoint state.
 """
@@ -13,7 +13,6 @@ import pickle
 from unittest import mock
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import make_batch
@@ -22,13 +21,11 @@ from repro.compute import pagerank
 from repro.compute.pagerank import IncrementalPageRank
 from repro.datasets.profiles import get_dataset
 from repro.graph.adjacency_list import AdjacencyListGraph
-from repro.graph.hybrid import HybridAdjacencyGraph
 from repro.pipeline.checkpoint import PipelineCheckpoint
 from repro.pipeline.config import RunConfig
 from repro.telemetry.core import Telemetry
 
 N_VERTICES = 24
-THRESHOLD = 3  # hybrid promotion threshold: streams cross it constantly
 #: SCALAR_FRONTIER_MAX values: every round numpy, a split of this file's
 #: small universes, the shipped default, and every round scalar.
 ALL_NUMPY = 0
@@ -39,12 +36,6 @@ FRONTIER_SPLITS = [ALL_NUMPY, 8, pagerank.SCALAR_FRONTIER_MAX, ALL_SCALAR]
 def _frontier_max(value):
     """Patch the dispatch threshold (usable inside a hypothesis test)."""
     return mock.patch.object(pagerank, "SCALAR_FRONTIER_MAX", value)
-
-
-def _graph(fmt: str, num_vertices: int = N_VERTICES):
-    if fmt == "hybrid":
-        return HybridAdjacencyGraph(num_vertices, promote_threshold=THRESHOLD)
-    return AdjacencyListGraph(num_vertices)
 
 
 def _batch(ops, batch_id):
@@ -78,7 +69,6 @@ ops = st.lists(
 
 @given(
     stream=st.lists(ops, min_size=1, max_size=6),
-    fmt=st.sampled_from(["dict", "hybrid"]),
     affected_as=st.sampled_from(["array", "set", "oca"]),
     tolerance=st.sampled_from([0.0, 1e-7, 1e-3]),
     max_rounds=st.sampled_from([1, 2, 100]),
@@ -86,14 +76,14 @@ ops = st.lists(
 )
 @settings(max_examples=160, deadline=None)
 def test_matches_reference_loop(
-    stream, fmt, affected_as, tolerance, max_rounds, frontier_max
+    stream, affected_as, tolerance, max_rounds, frontier_max
 ):
     with _frontier_max(frontier_max):
-        _stream_matches_reference(stream, fmt, affected_as, tolerance, max_rounds)
+        _stream_matches_reference(stream, affected_as, tolerance, max_rounds)
 
 
-def _stream_matches_reference(stream, fmt, affected_as, tolerance, max_rounds):
-    graph = _graph(fmt)
+def _stream_matches_reference(stream, affected_as, tolerance, max_rounds):
+    graph = AdjacencyListGraph(N_VERTICES)
     engine = IncrementalPageRank(graph, tolerance=tolerance, max_rounds=max_rounds)
     reference = ReferenceIncrementalPageRank(
         graph, tolerance=tolerance, max_rounds=max_rounds
@@ -116,14 +106,13 @@ def _stream_matches_reference(stream, fmt, affected_as, tolerance, max_rounds):
         _assert_same(engine, reference, got, want)
 
 
-@pytest.mark.parametrize("fmt", ["dict", "hybrid"])
 @_frontier_max(ALL_NUMPY)
-def test_path_graph_puts_every_vertex_in_its_own_level(fmt):
+def test_path_graph_puts_every_vertex_in_its_own_level():
     """0 -> 1 -> ... -> n-1 with the frontier iterating in path order: each
     vertex reads its predecessor's new value, so every numpy round's levels
     hold one vertex each — the deepest schedule a round can have."""
     n = 300
-    graph = _graph(fmt, n)
+    graph = AdjacencyListGraph(n)
     graph.apply_batch(make_batch(list(range(n - 1)), list(range(1, n))))
     assert list(set(range(n))) == list(range(n))  # small ints: path order
     engine = IncrementalPageRank(graph, tolerance=0.0)
@@ -266,9 +255,8 @@ def _degree_batches():
     ]
 
 
-@pytest.mark.parametrize("fmt", ["dict", "hybrid"])
-def test_degree_arrays_match_view_lengths(fmt):
-    graph = _graph(fmt, 8)
+def test_degree_arrays_match_view_lengths():
+    graph = AdjacencyListGraph(8)
     for batch in _degree_batches():
         graph.apply_batch(batch)
         out_adj, in_adj = graph.adjacency_views()

@@ -20,7 +20,6 @@ from repro.datasets.stream_cache import cached_batches, cache_stats, clear_cache
 from repro.errors import ConfigurationError
 from repro.graph import adjacency_list
 from repro.graph.adjacency_list import AdjacencyListGraph
-from repro.graph.hybrid import HybridAdjacencyGraph
 from repro.graph.reference import ReferenceAdjacencyListGraph
 from repro.graph.snapshot import CSRSnapshot, DeltaSnapshotter, take_snapshot
 from repro.pipeline.executor import CellSpec, mp_context, run_matrix
@@ -90,15 +89,12 @@ def test_delta_snapshot_with_skipped_batches(sequence):
     _assert_snapshots_identical(snapper.snapshot(), take_snapshot(graph))
 
 
-@pytest.mark.parametrize(
-    "cls", [AdjacencyListGraph, HybridAdjacencyGraph], ids=["dict", "hybrid"]
-)
-def test_checkpoints_with_in_direction_state_still_resume(cls):
+def test_checkpoints_with_in_direction_state_still_resume():
     """Pickles from before out-only tracking carry an in-CSR on the cached
-    snapshot and an in-direction journal on the graph (the hybrid graph
-    kept its journals on each direction).  They load, the extra state is
-    ignored, and the pending out-journal still patches bit-identically."""
-    graph = cls(N_VERTICES)
+    snapshot and an in-direction journal on the graph.  They load, the
+    extra state is ignored, and the pending out-journal still patches
+    bit-identically."""
+    graph = AdjacencyListGraph(N_VERTICES)
     snapper = DeltaSnapshotter(graph, rebuild_fraction=1.0)
     graph.apply_batch(make_batch([0, 0, 3, 2], [1, 2, 1, 0]))
     snapper.snapshot()
@@ -110,12 +106,7 @@ def test_checkpoints_with_in_direction_state_still_resume(cls):
     for name in ("in_offsets", "in_sources", "in_weights"):
         object.__setattr__(snapper._prev, name, np.zeros(1))
     in_journal = [(np.array([3]), np.array([1]), np.array([1.0]))]
-    if cls is HybridAdjacencyGraph:
-        graph._outd.journal = graph.__dict__.pop("_journal_out")
-        graph._outd.stale = graph.__dict__.pop("_stale_out")
-        graph._ind.journal, graph._ind.stale = in_journal, {1}
-    else:
-        graph._journal_in, graph._stale_in = in_journal, {1}
+    graph._journal_in, graph._stale_in = in_journal, {1}
     restored = pickle.loads(pickle.dumps(snapper))
     restored.graph.apply_batch(make_batch(
         [4, 0], [0, 2], batch_id=2, is_delete=[False, True]
@@ -182,8 +173,6 @@ def test_vectorized_ingest_matches_reference(sequence, tracked):
 DELETE_GRAPHS = [
     pytest.param(AdjacencyListGraph, False, id="dict"),
     pytest.param(AdjacencyListGraph, True, id="dict-tracked"),
-    pytest.param(HybridAdjacencyGraph, False, id="hybrid"),
-    pytest.param(HybridAdjacencyGraph, True, id="hybrid-tracked"),
     pytest.param(ReferenceAdjacencyListGraph, False, id="reference"),
 ]
 

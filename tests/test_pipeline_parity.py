@@ -80,31 +80,45 @@ def test_golden_covers_every_cell():
     assert set(GOLDEN) == {capture_parity.cell_key(cell) for cell in CELLS}
 
 
+# -- configs and checkpoints written by older versions -----------------------
+#
+# Every RunConfig dict written before the hybrid adjacency format was
+# removed (checkpoint headers, ``best_config.json``) carries ``adjacency``,
+# and every one written by the sharded era also carries
+# ``num_shards``/``shard_transport``/``shard_policy``.  ``adjacency="dict"``
+# and one shard name the run that still exists, so such a dict must
+# reproduce the golden floats; ``"hybrid"`` and more than one shard name
+# runs nothing can honour any more, and are refused by name.
+
+
 @pytest.mark.parametrize("adjacency", ["dict", "hybrid"])
 @pytest.mark.parametrize(
     "cell", CELLS, ids=[capture_parity.cell_key(c) for c in CELLS]
 )
 def test_cell_matches_golden(cell, adjacency):
-    """The golden record is adjacency-format-invariant: the hybrid format
-    must serialize to the exact floats recorded with per-vertex dicts —
-    the format is a wall-clock lever, never a modeled-results change."""
-    import dataclasses
+    """Each cell's config as a dict naming an adjacency format, as every
+    config written while the format was selectable does: ``"dict"`` loads to
+    the same config and serializes to the exact golden floats; ``"hybrid"``
+    is refused, and without the key it is the same config (the golden
+    floats were equal on both formats)."""
+    from repro.errors import ConfigurationError
 
-    config = dataclasses.replace(config_for(cell), adjacency=adjacency)
-    metrics = config.run()
+    config = config_for(cell)
+    legacy = {**config.to_dict(), "adjacency": adjacency}
+    if adjacency == "hybrid":
+        with pytest.raises(ConfigurationError, match="hybrid .* was removed"):
+            RunConfig.from_dict(legacy)
+        del legacy["adjacency"]
+        assert RunConfig.from_dict(legacy) == config
+        return
+    loaded = RunConfig.from_dict(legacy)
+    assert loaded == config
+    metrics = loaded.run()
     expected = GOLDEN[capture_parity.cell_key(cell)]
     # JSON round-trip our side too so float comparison is repr-exact on
     # both: identical modeled results serialize to identical documents.
     assert json.loads(json.dumps(serialize(metrics))) == expected
 
-
-# -- configs and checkpoints written before the sharded runtime was removed --
-#
-# Every RunConfig dict the sharded era wrote (checkpoint headers,
-# ``best_config.json``) carries ``num_shards``/``shard_transport``/
-# ``shard_policy``.  At one shard those fields changed nothing, so such a
-# dict still names a serial run and must reproduce the golden floats; more
-# than one shard names a run nothing can honour any more.
 
 _FB_CELLS = [c for c in CELLS if c["dataset"] == "fb"]
 
@@ -116,13 +130,16 @@ _FB_CELLS = [c for c in CELLS if c["dataset"] == "fb"]
 )
 def test_cell_matches_golden_sharded(cell, adjacency, tmp_path):
     """A run split at a checkpoint whose header was written by the sharded
-    era (one shard, the era's default transport and policy) serializes to
-    the exact golden floats, for every mode and both adjacency formats."""
+    era (one shard, the era's default transport and policy, and an
+    adjacency format): with ``"dict"`` it serializes to the exact golden
+    floats, for every mode; with ``"hybrid"`` resume is refused before the
+    payload is unpickled."""
     import dataclasses
 
+    from repro.errors import CheckpointError
     from repro.pipeline import PipelineCheckpoint
 
-    config = dataclasses.replace(config_for(cell), adjacency=adjacency)
+    config = config_for(cell)
     num_batches = cell["num_batches"]
     pipeline = config.build_pipeline()
     for _ in range(num_batches // 2):  # mid-stream: no batch is final
@@ -131,13 +148,20 @@ def test_cell_matches_golden_sharded(cell, adjacency, tmp_path):
     legacy = {
         **checkpoint.config,
         "num_shards": 1, "shard_transport": "shm", "shard_policy": "mod",
+        "adjacency": adjacency,
     }
+    if adjacency == "hybrid":
+        # A hybrid payload pickles a class that no longer exists.
+        checkpoint = dataclasses.replace(checkpoint, payload=b"not a pickle")
     path = dataclasses.replace(checkpoint, config=legacy).save(
         tmp_path / "legacy.ckpt"
     )
-    metrics = config.build_pipeline().run(
-        num_batches, resume_from=PipelineCheckpoint.load(path)
-    )
+    resumed = config.build_pipeline()
+    if adjacency == "hybrid":
+        with pytest.raises(CheckpointError, match="cannot resume: .*hybrid"):
+            resumed.run(num_batches, resume_from=PipelineCheckpoint.load(path))
+        return
+    metrics = resumed.run(num_batches, resume_from=PipelineCheckpoint.load(path))
     expected = GOLDEN[capture_parity.cell_key(cell)]
     assert json.loads(json.dumps(serialize(metrics))) == expected
 
@@ -155,6 +179,7 @@ def test_matrix_gate_transport_policy_four_shards(transport, policy):
     legacy = {
         **config.to_dict(),
         "num_shards": 1, "shard_transport": transport, "shard_policy": policy,
+        "adjacency": "dict",
     }
     loaded = RunConfig.from_json(json.dumps(legacy))
     assert loaded == config

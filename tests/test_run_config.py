@@ -53,7 +53,6 @@ configs = st.builds(
     abr=st.none() | abr_configs,
     oca=st.none() | oca_configs,
     telemetry=st.sampled_from(["off", "basic", "full"]),
-    adjacency=st.sampled_from(["dict", "hybrid"]),
 )
 
 
@@ -109,7 +108,7 @@ def test_from_cell_spec_defaults_extras():
         {"machine": "tpu"},
         {"batch_size": 0},
         {"telemetry": "verbose"},
-        {"adjacency": "csr"},
+        {"pr_tolerance": float("nan")},
         {"pr_tolerance": -1e-9},
         {"pr_max_rounds": 0},
     ],
@@ -154,10 +153,11 @@ def test_from_cli_args():
     assert RunConfig.from_cli_args(args).telemetry == "basic"
 
 
-# -- configs written before the sharded runtime was removed -----------------
+# -- configs written by older versions ----------------------------------------
 
 _LEGACY_ONE_SHARD = {
     "num_shards": 1, "shard_transport": "tcp", "shard_policy": "greedy",
+    "adjacency": "dict",
 }
 
 
@@ -174,6 +174,18 @@ def test_from_dict_refuses_sharded_config():
               "num_shards": 2}
     with pytest.raises(ConfigurationError, match="sharded runtime was removed"):
         RunConfig.from_dict(legacy)
+
+
+def test_from_dict_refuses_hybrid_config():
+    legacy = {**RunConfig("fb", 500).to_dict(), **_LEGACY_ONE_SHARD,
+              "adjacency": "hybrid"}
+    with pytest.raises(
+        ConfigurationError,
+        match="hybrid adjacency format was removed.*deleting the 'adjacency' key",
+    ):
+        RunConfig.from_dict(legacy)
+    del legacy["adjacency"]
+    assert RunConfig.from_dict(legacy) == RunConfig("fb", 500)
 
 
 def test_build_pipeline_creates_telemetry_backend(flat_profile):

@@ -99,8 +99,7 @@ def test_admission_oversize_drain_and_stats():
 # -- micro-batcher -------------------------------------------------------------
 
 def test_batcher_target_cut_sequences_and_tenant_counts():
-    mb = MicroBatcher(target_edges=10, min_edges=4, adaptive=False,
-                      clock=lambda: 0.0)
+    mb = MicroBatcher(target_edges=10, clock=lambda: 0.0)
     assert mb.append("a", [1, 2, 3], [4, 5, 6]) == 3
     assert mb.cut_due() is None
     mb.append("b", list(range(7)), list(range(7)))
@@ -114,11 +113,10 @@ def test_batcher_target_cut_sequences_and_tenant_counts():
 
 
 def test_batcher_never_cuts_on_time_alone():
-    """Only size and shape cut inside the batcher: however long a small
-    buffer lingers, it waits for the server's idle, flush or drain cut."""
+    """Only size cuts inside the batcher: however long a small buffer
+    lingers, it waits for the server's idle, flush or drain cut."""
     clock = {"t": 0.0}
-    mb = MicroBatcher(target_edges=100, min_edges=4,
-                      clock=lambda: clock["t"])
+    mb = MicroBatcher(target_edges=100, clock=lambda: clock["t"])
     mb.append("a", [1], [2])
     clock["t"] = 3600.0
     assert mb.cut_due() is None
@@ -126,24 +124,8 @@ def test_batcher_never_cuts_on_time_alone():
     assert batch.markers == [(1, 0.0)] and batch.cut_reason == "idle"
 
 
-def test_batcher_cad_early_cut_on_hub_concentration():
-    """A buffer whose edges pile onto one hub is already RO-friendly
-    (CAD >= TH), so the batcher cuts before reaching the size target."""
-    mb = MicroBatcher(target_edges=100_000, min_edges=64, clock=lambda: 0.0)
-    n = 4096
-    mb.append("a", list(range(n)), [0] * n)  # every edge hits vertex 0
-    assert mb.cad >= mb.threshold
-    assert mb.cut_due() == "cad"
-    flat = MicroBatcher(target_edges=100_000, min_edges=64,
-                        clock=lambda: 0.0)
-    flat.append("a", list(range(n)), list(range(1, n + 1)))
-    assert flat.cad < flat.threshold
-    assert flat.cut_due() is None
-
-
 def test_batcher_preserves_weights_and_deletes():
-    mb = MicroBatcher(target_edges=10, min_edges=1, adaptive=False,
-                      clock=lambda: 0.0)
+    mb = MicroBatcher(target_edges=10, clock=lambda: 0.0)
     mb.append("a", [1, 2], [3, 4], weight=[2.0, 3.0],
               is_delete=[False, True])
     batch = mb.cut("drain")
@@ -225,7 +207,7 @@ def test_multi_client_ingest_matches_offline_replay():
     state bit-identical to the same edges replayed as one offline stream
     in arrival order with the same batch boundaries."""
     config = _config()
-    settings = ServeSettings(batch_target=700, batch_min=64, capture=True)
+    settings = ServeSettings(batch_target=700, capture=True)
     handle = start_server_thread(config, settings)
     try:
         async def drive():
@@ -388,8 +370,8 @@ def test_drain_flushes_partial_buffer_and_stops_cleanly():
     flushes the partial buffer), then stop the driver thread."""
     handle = start_server_thread(
         _config(),
-        # Nothing cuts on size or shape: huge target and CAD floor.
-        ServeSettings(batch_target=1_000_000, batch_min=1_000_000),
+        # Nothing cuts on size: a huge target.
+        ServeSettings(batch_target=1_000_000),
     )
     server = handle.server
     # A driver held busy answering a query leaves new edges buffered.
@@ -480,8 +462,7 @@ def test_no_edge_is_stranded_without_a_timer():
     and trips the deadline; a cut that overtakes an earlier one (two
     target cuts racing for the freed slot, or an idle cut passing a
     waiting one) leaves the watermark behind."""
-    settings = ServeSettings(batch_target=150, batch_min=64, queue_depth=1,
-                             capture=True)
+    settings = ServeSettings(batch_target=150, queue_depth=1, capture=True)
     handle = start_server_thread(_config(), settings)
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -651,11 +632,11 @@ def test_cli_parser_accepts_serve_and_loadgen():
     parser = build_parser()
     args = parser.parse_args(
         ["serve", "fb", "--serve-batch", "500", "--rate", "10",
-         "--checkpoint", "/tmp/ckpt", "--every", "7", "--fixed-batching"]
+         "--checkpoint", "/tmp/ckpt", "--every", "7"]
     )
     assert args.command == "serve"
     assert args.serve_batch == 500 and args.rate == 10.0
-    assert args.every == 7 and args.fixed_batching
+    assert args.every == 7
     args = parser.parse_args(
         ["loadgen", "--port", "1234", "--query", "triangles", "--json"]
     )
@@ -668,7 +649,7 @@ def test_run_config_from_serve_args_is_open_ended():
 
     args = argparse.Namespace(
         dataset="fb", batch_size=500, algorithm="pr", mode="abr_usc",
-        telemetry=None, adjacency=None,
+        telemetry=None,
     )
     config = RunConfig.from_serve_args(args)
     assert config.num_batches is None

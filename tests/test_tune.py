@@ -23,12 +23,17 @@ BASE = RunConfig(dataset="fb", batch_size=500, num_batches=2)
 
 DEMO = BUILTIN_SPACES["demo"]
 
+#: DEMO plus a categorical dimension (no built-in space has one).
+MODES = SearchSpace("modes", DEMO.dimensions + (
+    Dimension("mode", "mode", "categorical", choices=("abr", "abr_usc")),
+))
+
 
 # -- search space ------------------------------------------------------------
 
 
 def test_space_json_round_trip():
-    for space in BUILTIN_SPACES.values():
+    for space in (*BUILTIN_SPACES.values(), MODES):
         assert SearchSpace.from_json(space.to_json()) == space
 
 
@@ -40,7 +45,7 @@ def test_dimension_bounds_validation():
     with pytest.raises(TuneError, match="low > 0"):
         Dimension("x", "pr_tolerance", "continuous", low=0.0, high=1.0, log=True)
     with pytest.raises(TuneError, match="choices"):
-        Dimension("x", "adjacency", "categorical")
+        Dimension("x", "mode", "categorical")
     with pytest.raises(TuneError, match="pow2"):
         Dimension("x", "pr_tolerance", "continuous", low=1, high=2,
                   transform="pow2")
@@ -57,12 +62,12 @@ def test_space_rejects_bad_field_paths():
 
 
 def test_apply_sets_top_level_and_nested_fields():
-    config = DEMO.apply(BASE, {
+    config = MODES.apply(BASE, {
         "abr_threshold": 300.0, "abr_n": 5,
-        "batch_size": 1000, "adjacency": "hybrid",
+        "batch_size": 1000, "mode": "abr",
     })
     assert config.batch_size == 1000
-    assert config.adjacency == "hybrid"
+    assert config.mode == "abr"
     # Nested ABRConfig is instantiated from defaults (BASE carries None)
     # with only the assigned fields moved.
     assert config.abr.threshold == 300.0
@@ -71,9 +76,9 @@ def test_apply_sets_top_level_and_nested_fields():
 
 
 def test_apply_partial_assignment_keeps_base_values():
-    config = DEMO.apply(BASE, {"abr_n": 7})
+    config = MODES.apply(BASE, {"abr_n": 7})
     assert config.batch_size == BASE.batch_size
-    assert config.adjacency == BASE.adjacency
+    assert config.mode == BASE.mode
     assert config.abr.n == 7
 
 
@@ -83,7 +88,7 @@ def test_apply_rejects_unknown_and_out_of_bounds():
     with pytest.raises(TuneError, match="outside"):
         DEMO.apply(BASE, {"batch_size": 10})
     with pytest.raises(TuneError, match="not one of"):
-        DEMO.apply(BASE, {"adjacency": "btree"})
+        MODES.apply(BASE, {"mode": "btree"})
 
 
 def test_pow2_transform_maps_bits_to_cost():
@@ -101,7 +106,7 @@ def test_sample_stays_in_bounds():
 
 
 def test_grid_assignments_cover_budget():
-    grid = DEMO.grid_assignments(10)
+    grid = MODES.grid_assignments(10)
     assert len(grid) >= 10
     assert len({json.dumps(a, sort_keys=True) for a in grid}) == len(grid)
 
@@ -146,16 +151,16 @@ def test_grid_search_exhausts():
 
 
 def test_tpe_proposes_in_bounds_after_history():
-    opt = make_optimizer("tpe", DEMO, seed=1)
+    opt = make_optimizer("tpe", MODES, seed=1)
     rng = random.Random(2)
     for trial_id in range(1, 9):
-        assignment = DEMO.sample(rng)
+        assignment = MODES.sample(rng)
         score = -abs(assignment["abr_n"] - 10)  # peak at abr_n == 10
         opt.tell(trial_id, assignment, score)
     opt.tell(0, {}, 0.5)  # the baseline's empty assignment must not crash it
     proposal = opt.ask(9)
-    DEMO.apply(BASE, proposal)  # validates every value
-    again = make_optimizer("tpe", DEMO, seed=1)
+    MODES.apply(BASE, proposal)  # validates every value
+    again = make_optimizer("tpe", MODES, seed=1)
     for trial_id, assignment, score in opt.history:
         again.tell(trial_id, assignment, score)
     assert again.ask(9) == proposal  # deterministic given (seed, history)

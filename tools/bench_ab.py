@@ -11,10 +11,11 @@ one in that copy and one in the working tree, pair ``i`` on seed
 a drift in host speed reaches both sides alike.  Each side runs its own
 ``perfbench/`` against its own ``src/``, one run at a time.
 
-Prints every run as it finishes, then, per end-to-end metric of
+Prints every run as it finishes, with the ``CHECK FAILED`` lines of a run
+that was not correct under its line.  Then, per end-to-end metric of
 BENCHMARK.json, each side's median and quartiles, the number of pairs the
-working tree won and a verdict, and per side the correct runs and failed
-operations.  The verdicts:
+working tree won and a verdict, and per side the correct runs, failed
+operations and failed checks (with their seeds).  The verdicts:
 
 * ``gain``: the working tree won at least 9/10 of the pairs (ties count
   for neither side) and the medians differ by more than the base's q3-q1;
@@ -26,8 +27,12 @@ operations.  The verdicts:
 
 ``--trace 1`` runs perfbench traced and summarizes BENCHMARK.json's
 per-layer metrics instead; they have no bound, so their verdict is
-``gain`` or ``no gain``.  The last line is the same summary as one JSON
-object.  A run that exits non-zero stops the comparison.
+``gain`` or ``no gain``.  On a serve workload it adds the untraced server
+CPU seconds per session as a diagnostic row without a verdict: the
+closed-loop query client does more work against a faster server, so a
+change that speeds the server up can raise its CPU time.  The last line
+is the same summary as one JSON object.  A run that exits non-zero stops
+the comparison.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import statistics
 import subprocess
 import sys
@@ -43,6 +49,13 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("base", "change")
+CHECK_FAILED = "CHECK FAILED: "
+#: perfbench's traced serve runs print the server's CPU seconds per session.
+SERVER_CPU = re.compile(r"^server CPU s: untraced ([0-9.]+), traced [0-9.]+$")
+NO_CPU_VERDICT = (
+    "no verdict: the closed-loop query client does more work against a "
+    "faster server"
+)
 
 
 def export(rev: str, dest: Path) -> None:
@@ -64,12 +77,27 @@ def run_once(
          "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)],
         cwd=tree, env=env, capture_output=True, text=True,
     )
-    lines = done.stdout.strip().splitlines()
-    if done.returncode or not lines:
+    if done.returncode or not done.stdout.strip():
         raise SystemExit(
             f"{tree} seed {seed}: exit {done.returncode}\n{done.stderr[-4000:]}"
         )
-    return json.loads(lines[-1])
+    return {**parse_run(done.stdout), "seed": seed}
+
+
+def parse_run(stdout: str) -> dict:
+    """A perfbench run's final JSON line, plus what it printed before it:
+    ``checks_failed`` (its ``CHECK FAILED`` lines) and ``server_cpu_s``
+    (untraced server CPU seconds, or None when not printed)."""
+    lines = stdout.strip().splitlines()
+    cpu = [m.group(1) for m in map(SERVER_CPU.match, lines) if m]
+    return {
+        **json.loads(lines[-1]),
+        "checks_failed": [
+            line[len(CHECK_FAILED):] for line in lines
+            if line.startswith(CHECK_FAILED)
+        ],
+        "server_cpu_s": float(cpu[-1]) if cpu else None,
+    }
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -130,29 +158,48 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
             "correct_runs": sum(bool(pair[side]["correct"]) for pair in pairs),
             "failed": sum(pair[side]["failed"] for pair in pairs),
             "attempted": sum(pair[side]["attempted"] for pair in pairs),
+            "failed_checks": [
+                {"seed": pair[side].get("seed"), "check": check}
+                for pair in pairs
+                for check in pair[side].get("checks_failed", [])
+            ],
         }
+    cpu = {
+        side: [pair[side].get("server_cpu_s") for pair in pairs] for side in SIDES
+    }
+    if all(v is not None for values in cpu.values() for v in values):
+        entry = {"unit": "s", "wins": None, "verdict": NO_CPU_VERDICT}
+        for side in SIDES:
+            q1, median, q3 = quartiles(cpu[side])
+            entry[side] = {"median": median, "q1": q1, "q3": q3}
+        summary["server_cpu_s"] = entry
     return summary
 
 
 def report(summary: dict) -> None:
     pairs = summary["pairs"]
-    width = max(16, *map(len, summary["metrics"]))
+    rows = dict(summary["metrics"])
+    if "server_cpu_s" in summary:
+        rows["server_cpu_s"] = summary["server_cpu_s"]
+    width = max(16, *map(len, rows))
     print(f"{'metric':<{width}} {'unit':<8} {'base median [q1, q3]':<34} "
           f"{'change median [q1, q3]':<34} {'ratio':>6}  change wins  verdict")
-    for name, entry in summary["metrics"].items():
+    for name, entry in rows.items():
         cells = []
         for side in SIDES:
             s = entry[side]
             cells.append(f"{s['median']:.4g} [{s['q1']:.4g}, {s['q3']:.4g}]")
         base = entry["base"]["median"]
         ratio = entry["change"]["median"] / base if base else float("nan")
-        wins = f"{entry['wins']}/{pairs}"
+        wins = "-" if entry["wins"] is None else f"{entry['wins']}/{pairs}"
         print(f"{name:<{width}} {entry['unit']:<8} {cells[0]:<34} {cells[1]:<34} "
               f"{ratio:>6.3f}  {wins:<11}  {entry['verdict']}")
     for side in SIDES:
         s = summary[side]
         print(f"{side}: {s['correct_runs']}/{pairs} runs correct, "
               f"{s['failed']} of {s['attempted']} operations failed")
+        for failed in s["failed_checks"]:
+            print(f"  seed {failed['seed']}: {CHECK_FAILED}{failed['check']}")
 
 
 def main(argv=None) -> int:
@@ -186,6 +233,8 @@ def main(argv=None) -> int:
                 print(f"pair {i + 1}/{args.pairs} seed {seed} {side}: "
                       f"correct={pair[side]['correct']} "
                       f"failed={pair[side]['failed']} {shown}", flush=True)
+                for check in pair[side].get("checks_failed", []):
+                    print(f"  {CHECK_FAILED}{check}", flush=True)
             pairs.append(pair)
     summary = summarize(pairs, spec["per_layer" if args.trace else "end_to_end"])
     summary.update(base_rev=args.base, workload=args.workload, trace=args.trace,
