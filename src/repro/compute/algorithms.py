@@ -79,6 +79,8 @@ class SSSPAlgorithm(_SourceMixin, ComputeAlgorithm):
 class StaticPageRankAlgorithm(ComputeAlgorithm):
     """From-scratch PageRank on a (delta-patched) CSR snapshot per round."""
 
+    reads_in_lists = False
+
     def __init__(self, ctx):
         super().__init__(ctx)
         # Static algorithms re-snapshot every round; patch the cached CSR
@@ -96,6 +98,8 @@ class StaticPageRankAlgorithm(ComputeAlgorithm):
 @register_algorithm("sssp_static")
 class StaticSSSPAlgorithm(_SourceMixin, ComputeAlgorithm):
     """From-scratch SSSP on a (delta-patched) CSR snapshot per round."""
+
+    reads_in_lists = False
 
     def __init__(self, ctx):
         super().__init__(ctx)
@@ -150,6 +154,8 @@ class ConnectedComponentsAlgorithm(ComputeAlgorithm):
 @register_algorithm("none")
 class NoComputeAlgorithm(ComputeAlgorithm):
     """Update-phase-only runs: every compute round is free."""
+
+    reads_in_lists = False
 
     def on_round(self, batch, affected, covered):
         return None

@@ -143,6 +143,8 @@ class TriangleCountAlgorithm(ComputeAlgorithm):
     ingestion).  The latest count is exposed as :attr:`count`.
     """
 
+    reads_in_lists = False
+
     def __init__(self, ctx):
         super().__init__(ctx)
         self.snapshotter = DeltaSnapshotter(ctx.graph, telemetry=ctx.telemetry)

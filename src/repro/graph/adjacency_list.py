@@ -22,17 +22,22 @@ out-direction only, which is all a CSR snapshot holds.  Its merges take a
 composite-key sort and insert each vertex's new targets in ascending order;
 the in-direction, and both directions when untracked, insert in
 first-occurrence batch order, exactly like the reference loop.
+
+A graph built with ``keep_in_lists=False`` stores no in-dicts, only the
+in-degree array.  In-dicts hold the transpose of the out-dicts, so the
+in-direction's stats follow from the out-merge: which of the batch's
+deduplicated pairs were new, grouped by destination.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 from operator import is_not
 
 import numpy as np
 
-from ..datasets.stream import Batch
+from ..datasets.stream import Batch, sorted_unique
 from .base import BatchUpdateStats, DirectionStats, DynamicGraph, GraphDelta, read_only
 
 __all__ = ["AdjacencyListGraph"]
@@ -42,6 +47,12 @@ __all__ = ["AdjacencyListGraph"]
 # default never mutates the dict it misses in, so the empty dict stays empty.
 _EMPTY: dict[int, float] = {}
 _MISSING = object()
+
+
+def _runs(sorted_keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of a sorted array and the length of each run."""
+    starts = np.append(0, np.flatnonzero(sorted_keys[1:] != sorted_keys[:-1]) + 1)
+    return sorted_keys[starts], np.diff(np.append(starts, len(sorted_keys)))
 
 
 def _empty_direction_stats() -> DirectionStats:
@@ -59,12 +70,17 @@ class AdjacencyListGraph(DynamicGraph):
 
     Args:
         num_vertices: size of the vertex id universe.
+        keep_in_lists: store the in-direction's per-vertex dicts.  Without
+            them the graph keeps in-degrees only: :meth:`adjacency_views`
+            and :meth:`in_neighbors` build in-mappings from the out-dicts
+            on request, with the same content but no set order.  A
+            pipeline passes its algorithm's ``reads_in_lists``.
     """
 
-    def __init__(self, num_vertices: int):
+    def __init__(self, num_vertices: int, keep_in_lists: bool = True):
         super().__init__(num_vertices)
         self._out: dict[int, dict[int, float]] = {}
-        self._in: dict[int, dict[int, float]] = {}
+        self._in: dict[int, dict[int, float]] | None = {} if keep_in_lists else None
         # Maintained per-vertex adjacency lengths: len(self._out.get(v, {}))
         # et al., kept exact by _apply_direction/_delete_edges so DirectionStats
         # never needs per-vertex len() calls.
@@ -77,8 +93,9 @@ class AdjacencyListGraph(DynamicGraph):
         self._delta_invalid = False
         self._journal_out: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         self._stale_out: set[int] = set()
-        # Incrementally maintained union of both directions' key sets, with a
-        # cached sorted materialization (invalidated when vertices are added).
+        # Incrementally maintained set of vertices that ever had an incident
+        # edge (with in-lists, the union of both directions' key sets), with
+        # a cached sorted materialization (invalidated when vertices are added).
         self._touched: set[int] = set()
         self._touched_sorted: list[int] | None = None
 
@@ -87,7 +104,13 @@ class AdjacencyListGraph(DynamicGraph):
         return self._out.get(v, {})
 
     def in_neighbors(self, v: int) -> dict[int, float]:
+        if self._in is None:
+            return {u: nbrs[v] for u, nbrs in self._out.items() if v in nbrs}
         return self._in.get(v, {})
+
+    @property
+    def keeps_in_lists(self) -> bool:
+        return self._in is not None
 
     def has_edge(self, u: int, v: int) -> bool:
         """True if edge u->v is currently present."""
@@ -100,7 +123,24 @@ class AdjacencyListGraph(DynamicGraph):
     def adjacency_views(
         self,
     ) -> tuple[dict[int, dict[int, float]], dict[int, dict[int, float]]]:
+        if self._in is None:
+            return self._out, self._in_from_out()
         return self._out, self._in
+
+    def _in_from_out(self) -> dict[int, dict[int, float]]:
+        """The in-mapping of a graph without in-lists, from the out-dicts.
+
+        Not live, and vertices whose in-edges were all deleted have no
+        entry.
+        """
+        inn: dict[int, dict[int, float]] = {}
+        for u, nbrs in self._out.items():
+            for v, w in nbrs.items():
+                entry = inn.get(v)
+                if entry is None:
+                    inn[v] = entry = {}
+                entry[u] = w
+        return inn
 
     def out_degrees(self) -> np.ndarray:
         return read_only(self._deg_out)
@@ -131,9 +171,20 @@ class AdjacencyListGraph(DynamicGraph):
 
     def notify_external_mutation(self) -> None:
         self.num_edges = sum(map(len, self._out.values()))
-        self._touched = set(self._out).union(self._in)
+        adjacencies = [(self._deg_out, self._out)]
+        if self._in is None:
+            targets = np.fromiter(
+                chain.from_iterable(self._out.values()),
+                dtype=np.int64,
+                count=self.num_edges,
+            )
+            self._deg_in[:] = np.bincount(targets, minlength=self.num_vertices)
+            self._touched.update(self._out, targets.tolist())
+        else:
+            adjacencies.append((self._deg_in, self._in))
+            self._touched = set(self._out).union(self._in)
         self._touched_sorted = None
-        for degrees, adjacency in ((self._deg_out, self._out), (self._deg_in, self._in)):
+        for degrees, adjacency in adjacencies:
             degrees[:] = 0
             if adjacency:
                 verts = np.fromiter(adjacency.keys(), dtype=np.int64, count=len(adjacency))
@@ -198,11 +249,14 @@ class AdjacencyListGraph(DynamicGraph):
             deque(
                 map(adjacency.setdefault, fresh_list, iter(dict, None)), maxlen=0
             )
-            touched_before = len(self._touched)
-            self._touched.update(fresh_list)
-            if len(self._touched) != touched_before:
-                self._touched_sorted = None
+            self._touch(fresh_list)
         return list(map(adjacency.__getitem__, verts.tolist()))
+
+    def _touch(self, vertices: list[int]) -> None:
+        touched_before = len(self._touched)
+        self._touched.update(vertices)
+        if len(self._touched) != touched_before:
+            self._touched_sorted = None
 
     def _apply_direction(
         self,
@@ -212,7 +266,7 @@ class AdjacencyListGraph(DynamicGraph):
         values: np.ndarray,
         weights: np.ndarray,
         journaled: bool,
-    ) -> DirectionStats:
+    ) -> tuple[DirectionStats, np.ndarray | None]:
         """Group edges by ``keys`` and merge them into ``adjacency``.
 
         Duplicate edges (same key/value pair, whether already in the graph or
@@ -224,11 +278,19 @@ class AdjacencyListGraph(DynamicGraph):
         ones without an explicit dedup pass; the tracked path needs
         deduplicated appends for the delta journal and pays for a
         composite-key sort instead.
+
+        Returns:
+            The direction's stats and, for the out-direction of a graph
+            without in-lists, the value of each deduplicated (key, value)
+            pair that was not in the graph before the batch (else None).
         """
+        derive_in = journaled and self._in is None
         if len(keys) == 0:
-            return _empty_direction_stats()
+            return _empty_direction_stats(), None
         if not (journaled and self._track):
-            return self._apply_direction_fast(adjacency, degrees, keys, values, weights)
+            return self._apply_direction_fast(
+                adjacency, degrees, keys, values, weights, derive_in
+            )
         nv = self.num_vertices
         # One stable sort of the composite (key, value) id both deduplicates
         # in-batch repeats (keep the last occurrence) and groups by vertex;
@@ -243,22 +305,17 @@ class AdjacencyListGraph(DynamicGraph):
         owners = keys[dedup_idx]  # gathers, cheaper than decoding comp by division
         targets = values[dedup_idx]
         merged_weights = weights[dedup_idx]
-        seg_starts = np.append(0, np.flatnonzero(owners[1:] != owners[:-1]) + 1)
-        verts = owners[seg_starts]
-        keys_sorted = keys[order]
-        key_starts = np.append(
-            0, np.flatnonzero(keys_sorted[1:] != keys_sorted[:-1]) + 1
-        )
-        batch_degree = np.diff(np.append(key_starts, len(keys_sorted)))
+        verts, dedup_counts = _runs(owners)
+        __, batch_degree = _runs(keys[order])
         length_before = degrees[verts]
         vert_entries = self._entries_for(adjacency, verts, length_before)
-        dedup_counts = np.diff(np.append(seg_starts, len(owners)))
         entries = np.repeat(
             np.array(vert_entries, dtype=object), dedup_counts
         ).tolist()
         targets_list = targets.tolist()
-        # Per-edge duplicate flags are only needed for the delta journal;
-        # the stats below get by with per-vertex length deltas.
+        # Per-edge duplicate flags feed the delta journal and, without
+        # in-lists, the in-direction's stats; this direction's stats get by
+        # with per-vertex length deltas.
         is_dup = np.fromiter(
             map(dict.__contains__, entries, targets_list),
             dtype=bool,
@@ -273,12 +330,13 @@ class AdjacencyListGraph(DynamicGraph):
         )
         new_edges = new_deg - length_before
         degrees[verts] = new_deg
-        return DirectionStats(
+        stats = DirectionStats(
             vertices=verts,
             batch_degree=batch_degree,
             length_before=length_before,
             new_edges=new_edges,
         )
+        return stats, targets[~is_dup] if derive_in else None
 
     def _apply_direction_fast(
         self,
@@ -287,7 +345,8 @@ class AdjacencyListGraph(DynamicGraph):
         keys: np.ndarray,
         values: np.ndarray,
         weights: np.ndarray,
-    ) -> DirectionStats:
+        derive_in: bool,
+    ) -> tuple[DirectionStats, np.ndarray | None]:
         """Untracked merge: apply every edge in stable key-sorted order.
 
         Skipping the dedup pass is safe because ``dict.__setitem__`` applied
@@ -295,22 +354,33 @@ class AdjacencyListGraph(DynamicGraph):
         dict insertion order, matching the reference loop exactly).  Sorting
         the bare keys — downcast to int32, halving the radix passes — is
         measurably cheaper than the composite sort the tracked path needs.
+        With ``derive_in``, a membership pass before the merge finds the
+        absent edges, and their deduplicated values are returned.
         """
         sort_keys = keys if self.num_vertices > 0x7FFFFFFF else keys.astype(np.int32)
         order = np.argsort(sort_keys, kind="stable")
         keys_sorted = keys[order]
-        key_starts = np.append(
-            0, np.flatnonzero(keys_sorted[1:] != keys_sorted[:-1]) + 1
-        )
-        verts = keys_sorted[key_starts]
-        batch_degree = np.diff(np.append(key_starts, len(keys_sorted)))
+        verts, batch_degree = _runs(keys_sorted)
         length_before = degrees[verts]
         vert_entries = self._entries_for(adjacency, verts, length_before)
         entries = np.repeat(
             np.array(vert_entries, dtype=object), batch_degree
         ).tolist()
+        values_sorted = values[order]
+        values_list = values_sorted.tolist()
+        new_values = None
+        if derive_in:
+            absent = ~np.fromiter(
+                map(dict.__contains__, entries, values_list),
+                dtype=bool,
+                count=len(entries),
+            )
+            nv = self.num_vertices
+            new_values = sorted_unique(
+                keys_sorted[absent] * nv + values_sorted[absent]
+            ) % nv
         deque(
-            map(dict.__setitem__, entries, values[order].tolist(), weights[order].tolist()),
+            map(dict.__setitem__, entries, values_list, weights[order].tolist()),
             maxlen=0,
         )
         new_deg = np.fromiter(
@@ -318,6 +388,36 @@ class AdjacencyListGraph(DynamicGraph):
         )
         new_edges = new_deg - length_before
         degrees[verts] = new_deg
+        stats = DirectionStats(
+            vertices=verts,
+            batch_degree=batch_degree,
+            length_before=length_before,
+            new_edges=new_edges,
+        )
+        return stats, new_values
+
+    def _derived_in_stats(
+        self, dst: np.ndarray, new_dst: np.ndarray | None
+    ) -> DirectionStats:
+        """The in-direction's stats on a graph without in-lists.
+
+        ``dst`` holds the batch's insert destinations, repeats included,
+        and ``new_dst`` the destination of each deduplicated pair the
+        out-merge found new.  In-dicts would hold the transpose of the
+        out-dicts, so these are the stats their merge would report; the
+        in-degrees and touched vertices advance as that merge's would.
+        """
+        if len(dst) == 0:
+            return _empty_direction_stats()
+        verts, batch_degree = _runs(np.sort(dst))
+        length_before = self._deg_in[verts]
+        # Sorted queries keep the binary searches cache-friendly: 5x faster
+        # than searching in pair order on 40K-edge batches.
+        new_edges = np.bincount(
+            np.searchsorted(verts, np.sort(new_dst)), minlength=len(verts)
+        )
+        self._touch(verts[length_before == 0].tolist())
+        self._deg_in[verts] += new_edges
         return DirectionStats(
             vertices=verts,
             batch_degree=batch_degree,
@@ -393,23 +493,30 @@ class AdjacencyListGraph(DynamicGraph):
     def _delete_edges(self, src: np.ndarray, dst: np.ndarray) -> int:
         """Remove listed edges (both directions); returns edges removed.
 
-        The in-entry is popped only for edges whose out-entry existed.
+        The in-entry is popped, or without in-lists the in-degree dropped,
+        only for edges whose out-entry existed.
         """
         hit_src, hit_dst = self._pop_edges(self._out, self._deg_out, src, dst, True)
         if len(hit_src):
-            self._pop_edges(self._in, self._deg_in, hit_dst, hit_src, False)
+            if self._in is None:
+                np.subtract.at(self._deg_in, hit_dst, 1)
+            else:
+                self._pop_edges(self._in, self._deg_in, hit_dst, hit_src, False)
         return len(hit_src)
 
     def apply_batch(self, batch: Batch) -> BatchUpdateStats:
         """Ingest a batch: all insertions first, then deletions (§4.4.3)."""
         self.check_vertices(batch.src, batch.dst)
         inserts = batch.insertions
-        out_stats = self._apply_direction(
+        out_stats, new_dst = self._apply_direction(
             self._out, self._deg_out, inserts.src, inserts.dst, inserts.weight, True
         )
-        in_stats = self._apply_direction(
-            self._in, self._deg_in, inserts.dst, inserts.src, inserts.weight, False
-        )
+        if self._in is None:
+            in_stats = self._derived_in_stats(inserts.dst, new_dst)
+        else:
+            in_stats, __ = self._apply_direction(
+                self._in, self._deg_in, inserts.dst, inserts.src, inserts.weight, False
+            )
         inserted = int(out_stats.new_edges.sum()) if len(out_stats.new_edges) else 0
         deletes = batch.deletions
         deleted = self._delete_edges(deletes.src, deletes.dst) if deletes.size else 0

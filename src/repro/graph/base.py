@@ -126,8 +126,10 @@ class BatchUpdateStats:
 class DynamicGraph(abc.ABC):
     """A dynamic graph ingesting batched edge updates.
 
-    Both directions are maintained (out- and in-adjacency), since batch
-    reordering must sort by source *and* destination (Section 3.2).
+    Both directions' update stats are reported (out- and in-adjacency),
+    since batch reordering must sort by source *and* destination
+    (Section 3.2).  A structure may keep in-degrees without in-lists
+    (:attr:`keeps_in_lists`).
     """
 
     def __init__(self, num_vertices: int):
@@ -154,6 +156,13 @@ class DynamicGraph(abc.ABC):
     @abc.abstractmethod
     def in_neighbors(self, v: int) -> dict[int, float]:
         """In-adjacency of ``v`` as a source -> weight mapping."""
+
+    @property
+    def keeps_in_lists(self) -> bool:
+        """True when the in-adjacency is stored: :meth:`in_neighbors` and the
+        in-mapping of :meth:`adjacency_views` then read it in its stored
+        order, instead of a copy built from the out-adjacency."""
+        return True
 
     @abc.abstractmethod
     def sum_search_cost(
@@ -190,7 +199,9 @@ class DynamicGraph(abc.ABC):
         The compute engines iterate millions of adjacency entries per round;
         this accessor exposes the underlying vertex -> {neighbor: weight}
         mappings so those loops avoid per-neighbor method dispatch.  Callers
-        must treat the returned mappings as read-only.
+        must treat the returned mappings as read-only.  Without in-lists
+        (:attr:`keeps_in_lists` false) the in-mapping is a copy built from
+        the out-adjacency on each call.
         """
 
     def consume_phase_overhead(self) -> float:
@@ -250,10 +261,10 @@ class DynamicGraph(abc.ABC):
 
     # -- shared helpers ----------------------------------------------------
     def out_degree(self, v: int) -> int:
-        return len(self.out_neighbors(v))
+        return int(self.out_degrees()[v])
 
     def in_degree(self, v: int) -> int:
-        return len(self.in_neighbors(v))
+        return int(self.in_degrees()[v])
 
     def check_vertices(self, *arrays: np.ndarray) -> None:
         """Validate vertex ids against the universe."""

@@ -23,8 +23,13 @@ class ReferenceAdjacencyListGraph(AdjacencyListGraph):
     """Adjacency-list graph with the original per-vertex ingest loop.
 
     Functionally interchangeable with :class:`AdjacencyListGraph`; only the
-    (slower) ingest implementation differs.
+    (slower) ingest implementation differs.  It always keeps both
+    directions' dicts: it is what a graph without in-lists is checked
+    against.
     """
+
+    def __init__(self, num_vertices: int):
+        super().__init__(num_vertices)
 
     def _apply_direction(
         self,
@@ -34,7 +39,7 @@ class ReferenceAdjacencyListGraph(AdjacencyListGraph):
         values: np.ndarray,
         weights: np.ndarray,
         journaled: bool,
-    ) -> DirectionStats:
+    ) -> tuple[DirectionStats, None]:
         """The seed implementation: one Python loop over unique vertices."""
         order = np.argsort(keys, kind="stable")
         keys_sorted = keys[order]
@@ -66,10 +71,11 @@ class ReferenceAdjacencyListGraph(AdjacencyListGraph):
             # merged vertex stale keeps delta snapshots correct (they fall
             # back to re-reading those vertices, or to a full rebuild).
             self._stale_out.update(verts.tolist())
-        return DirectionStats(
+        stats = DirectionStats(
             vertices=verts,
             batch_degree=counts,
             length_before=length_before,
             new_edges=new_edges,
         )
+        return stats, None
 

@@ -36,6 +36,7 @@ from ..costs import (
 )
 from ..datasets.profiles import DatasetProfile
 from ..datasets.stream import Batch, sorted_unique
+from ..errors import ConfigurationError
 from ..exec_model.machine import HOST_MACHINE, MachineConfig
 from ..graph.adjacency_list import AdjacencyListGraph
 from ..graph.base import DynamicGraph
@@ -136,7 +137,9 @@ class StreamingPipeline:
         oca_config: OCA parameters.
         hau: accelerator simulator (required for HAU policies).
         graph: pre-built graph to reuse; defaults to a fresh
-            :class:`~repro.graph.adjacency_list.AdjacencyListGraph`.
+            :class:`~repro.graph.adjacency_list.AdjacencyListGraph` that
+            keeps in-lists only if the algorithm's ``reads_in_lists`` says
+            it reads them.
         seed: stream generator seed.
         telemetry: optional :class:`~repro.telemetry.core.Telemetry`
             backend threaded through every stage and subsystem (engine,
@@ -173,7 +176,18 @@ class StreamingPipeline:
         self.compute_costs = compute_costs
         #: Telemetry backend shared by every stage and subsystem.
         self.telemetry = as_telemetry(telemetry)
-        self.graph = graph or AdjacencyListGraph(profile.num_vertices)
+        if graph is None:
+            graph = AdjacencyListGraph(
+                profile.num_vertices, keep_in_lists=algorithm_cls.reads_in_lists
+            )
+        elif algorithm_cls.reads_in_lists and not graph.keeps_in_lists:
+            # In-lists rebuilt from the out-dicts have another order, and
+            # pr's sums follow in-list order: its floats would move silently.
+            raise ConfigurationError(
+                f"algorithm {algorithm!r} reads in-lists, but the graph "
+                "keeps none"
+            )
+        self.graph = graph
         self.engine = UpdateEngine(
             self.graph,
             policy=policy,

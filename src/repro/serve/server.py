@@ -313,11 +313,9 @@ class _PipelineDriver(threading.Thread):
                 return _query_error(
                     f"vertex {vertex} outside [0, {pipeline.graph.num_vertices})"
                 )
-            out_adj, in_adj = pipeline.graph.adjacency_views()
-            empty: dict = {}
             reply["vertex"] = vertex
-            reply["out_degree"] = len(out_adj.get(vertex, empty))
-            reply["in_degree"] = len(in_adj.get(vertex, empty))
+            reply["out_degree"] = pipeline.graph.out_degree(vertex)
+            reply["in_degree"] = pipeline.graph.in_degree(vertex)
         else:
             return _query_error(f"unknown query {what!r}")
         state = server.state

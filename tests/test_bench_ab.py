@@ -101,25 +101,38 @@ def test_worse_than_its_bound():
 
 
 def test_wide_base_spread_is_unresolved_unless_the_change_wins_every_run():
-    base = [10.0, 20.0, 10.0, 20.0]  # q3 - q1 = 10: wider than 25% of 15
-    assert _verdicts(_pairs(base, [16.0, 14.0, 16.0, 14.0]))[
+    base = [10.0, 20.0] * 5  # q3 - q1 = 10: wider than 25% of 15
+    assert _verdicts(_pairs(base, [16.0, 14.0] * 5))[
         "visible_p50_ms"] == "unresolved"
     # Every change run beats every base run, yet the median gap (5.3) does
     # not pass the spread: not a gain, but not unresolved either.
-    assert _verdicts(_pairs(base, [9.9, 9.5, 9.9, 9.5]))[
+    assert _verdicts(_pairs(base, [9.9, 9.5] * 5))[
         "visible_p50_ms"] == "within its bound"
-    assert _verdicts(_pairs(base, [2.0, 3.0, 2.0, 3.0]))[
+    assert _verdicts(_pairs(base, [2.0, 3.0] * 5))[
         "visible_p50_ms"] == "gain"
 
 
 def test_metrics_without_a_bound_get_only_the_gain_test():
     layer = [{"name": "edges_per_s", "unit": "edges/s", "better": "higher"}]
-    pairs = _pairs([10.0] * 3, [10.0] * 3, edges=(100, 50))
+    pairs = _pairs([10.0] * 10, [10.0] * 10, edges=(100, 50))
     summary = bench_ab.summarize(pairs, layer)
     assert summary["metrics"]["edges_per_s"]["verdict"] == "no gain"
-    pairs = _pairs([10.0] * 3, [10.0] * 3, edges=(100, 150))
+    pairs = _pairs([10.0] * 10, [10.0] * 10, edges=(100, 150))
     summary = bench_ab.summarize(pairs, layer)
     assert summary["metrics"]["edges_per_s"]["verdict"] == "gain"
+
+
+@pytest.mark.parametrize("count", [1, 9])
+def test_a_gain_needs_ten_pairs_but_a_regression_shows_at_any_count(count):
+    base = [15.0, 14.0, 14.5, 15.5, 16.0, 14.2, 15.1, 14.8, 15.3][:count]
+    verdicts = _verdicts(_pairs(base, [9.5] * count, edges=(100, 70)))
+    assert verdicts == {
+        "edges_per_s": "worse than its bound",
+        "visible_p50_ms": "too few pairs",
+    }
+    layer = [{"name": "edges_per_s", "unit": "edges/s", "better": "higher"}]
+    summary = bench_ab.summarize(_pairs(base, base, edges=(100, 150)), layer)
+    assert summary["metrics"]["edges_per_s"]["verdict"] == "too few pairs"
 
 
 def test_trace_runs_traced_and_compares_the_per_layer_metrics(monkeypatch, capsys):

@@ -270,6 +270,37 @@ def test_resume_bit_identical_across_cells(tmp_path, algorithm, mode, use_oca):
     assert resumed.run(10, resume_from=checkpoint) == expected
 
 
+@pytest.mark.parametrize("keep_in_lists", [True, False],
+                         ids=["with-in-dicts", "without-in-dicts"])
+def test_pr_static_checkpoint_resumes_with_or_without_in_dicts(keep_in_lists):
+    """A ``pr_static`` graph keeps no in-dicts now; one written before that
+    holds them (``with-in-dicts``).  Both resume to the uninterrupted run's
+    metrics, and a resumed graph keeps whichever layout it was saved in."""
+    import pickle
+
+    from repro.datasets.profiles import get_dataset
+    from repro.graph.adjacency_list import AdjacencyListGraph
+
+    config = dataclasses.replace(
+        CONFIG, algorithm="pr_static", mode="abr_usc", use_oca=False,
+        num_batches=10,
+    )
+    expected = _run_uninterrupted(config)
+    graph = AdjacencyListGraph(get_dataset(config.dataset).num_vertices)
+    pipeline = config.build_pipeline(graph=graph if keep_in_lists else None)
+    pipeline.run(5)
+    checkpoint = PipelineCheckpoint.capture(pipeline)
+    assert pickle.loads(checkpoint.payload)["graph"].keeps_in_lists == keep_in_lists
+    resumed = config.build_pipeline()
+    assert resumed.run(10, resume_from=checkpoint) == expected
+    assert resumed.graph.keeps_in_lists == keep_in_lists
+    if keep_in_lists:
+        __, in_view = resumed.graph.adjacency_views()
+        assert resumed.graph.in_degrees().tolist() == [
+            len(in_view.get(v, {})) for v in range(resumed.graph.num_vertices)
+        ]
+
+
 def test_checkpoint_telemetry_counters(tmp_path):
     config = dataclasses.replace(CONFIG, telemetry="full")
     pipeline = config.build_pipeline()

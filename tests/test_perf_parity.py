@@ -7,6 +7,7 @@ implementation and requires bit-identical results — same dtypes, same
 values, same ordering.
 """
 
+import functools
 import os
 import pickle
 
@@ -22,7 +23,9 @@ from repro.graph import adjacency_list
 from repro.graph.adjacency_list import AdjacencyListGraph
 from repro.graph.reference import ReferenceAdjacencyListGraph
 from repro.graph.snapshot import CSRSnapshot, DeltaSnapshotter, take_snapshot
+from repro.pipeline.config import RunConfig
 from repro.pipeline.executor import CellSpec, mp_context, run_matrix
+from test_pipeline_parity import capture_parity
 
 N_VERTICES = 24
 
@@ -132,18 +135,30 @@ def _assert_degrees_match_views(graph):
         assert degrees.tolist() == want
 
 
-@pytest.mark.parametrize("tracked", [False, True], ids=["untracked", "tracked"])
+def _nonempty(view):
+    return {v: entry for v, entry in view.items() if entry}
+
+
+@pytest.mark.parametrize("tracked, keep_in_lists", [
+    pytest.param(False, True, id="untracked"),
+    pytest.param(True, True, id="tracked"),
+    pytest.param(False, False, id="out-only"),
+    pytest.param(True, False, id="out-only-tracked"),
+])
 @given(sequence=sequence_strategy)
 @settings(max_examples=50, deadline=None)
-def test_vectorized_ingest_matches_reference(sequence, tracked):
+def test_vectorized_ingest_matches_reference(sequence, tracked, keep_in_lists):
     """The vectorized `_apply_direction` reproduces the seed loop exactly:
     DirectionStats arrays (dtype and values), adjacency content, degree
     caches (checked against the views after every batch, deletes
-    included), edge counts, and per-vertex dict item order.  Tracking
-    journals the out-direction only: the in-direction keeps the seed
-    loop's first-occurrence order either way, while the tracked
-    out-direction inserts each vertex's new targets in ascending order."""
-    vec = AdjacencyListGraph(N_VERTICES)
+    included), touched vertices, edge counts, and per-vertex dict item
+    order.  Tracking journals the out-direction only: the in-direction
+    keeps the seed loop's first-occurrence order either way, while the
+    tracked out-direction inserts each vertex's new targets in ascending
+    order.  A graph without in-lists derives the in-direction's stats
+    from the out-merge; its in-mapping is built from the out-dicts, so
+    only its content is compared."""
+    vec = AdjacencyListGraph(N_VERTICES, keep_in_lists=keep_in_lists)
     vec.track_deltas(tracked)
     ref = ReferenceAdjacencyListGraph(N_VERTICES)
     for batch_id, edge_list in enumerate(sequence):
@@ -154,12 +169,18 @@ def test_vectorized_ingest_matches_reference(sequence, tracked):
         _assert_stats_identical(stats_vec.inn, stats_ref.inn)
         assert stats_vec.deleted_edges == stats_ref.deleted_edges
         _assert_degrees_match_views(vec)
+        assert vec.in_degrees().tolist() == ref.in_degrees().tolist()
+        assert vec.touched_count() == ref.touched_count()
     assert vec.num_edges == ref.num_edges
     out_vec, in_vec = vec.adjacency_views()
     out_ref, in_ref = ref.adjacency_views()
-    assert out_vec == out_ref and in_vec == in_ref
-    for v, entry in in_vec.items():
-        assert list(entry.items()) == list(in_ref[v].items())
+    assert out_vec == out_ref
+    if keep_in_lists:
+        assert in_vec == in_ref
+        for v, entry in in_vec.items():
+            assert list(entry.items()) == list(in_ref[v].items())
+    else:
+        assert _nonempty(in_vec) == _nonempty(in_ref)
     if not tracked:
         for v, entry in out_vec.items():
             assert list(entry.items()) == list(out_ref[v].items())
@@ -169,10 +190,14 @@ def test_vectorized_ingest_matches_reference(sequence, tracked):
 # -- deletes: explicit cases ----------------------------------------------------
 
 
+_OutOnlyGraph = functools.partial(AdjacencyListGraph, keep_in_lists=False)
+
 #: Every ingest path a delete can follow.
 DELETE_GRAPHS = [
     pytest.param(AdjacencyListGraph, False, id="dict"),
     pytest.param(AdjacencyListGraph, True, id="dict-tracked"),
+    pytest.param(_OutOnlyGraph, False, id="out-only"),
+    pytest.param(_OutOnlyGraph, True, id="out-only-tracked"),
     pytest.param(ReferenceAdjacencyListGraph, False, id="reference"),
 ]
 
@@ -273,6 +298,25 @@ def test_notify_external_mutation_resyncs_caches():
     _assert_snapshots_identical(
         DeltaSnapshotter(graph).snapshot(), take_snapshot(graph)
     )
+
+
+@pytest.mark.parametrize("algorithm", ["pr_static", "none"])
+@pytest.mark.parametrize("mode", capture_parity.MODE_LIST)
+def test_out_only_pipeline_matches_one_with_in_lists(mode, algorithm):
+    """A pipeline whose algorithm reads no in-lists builds its graph
+    without them, and its RunMetrics equal those of the same config given
+    a graph that keeps them, in every golden mode (hw_only and dynamic
+    feed both directions' stats to the HAU)."""
+    config = RunConfig(
+        dataset="fb", batch_size=500, algorithm=algorithm, mode=mode,
+        num_batches=4,
+    )
+    out_only = config.build_pipeline()
+    assert not out_only.graph.keeps_in_lists
+    kept = config.build_pipeline(
+        graph=AdjacencyListGraph(get_dataset("fb").num_vertices)
+    )
+    assert out_only.run(4) == kept.run(4)
 
 
 # -- workload executor ---------------------------------------------------------

@@ -318,6 +318,37 @@ def test_queries_watermark_and_protocol_errors():
         handle.stop()
 
 
+@pytest.mark.parametrize("algorithm", ["pr", "pr_static"])
+def test_degree_query_matches_a_bincount_of_the_edges(algorithm):
+    """``degree`` reads the degree arrays: the same answers with in-lists
+    (``pr``) and without them (``pr_static``), as JSON integers."""
+    inserts = [[0, 1], [1, 2], [2, 0], [0, 2], [3, 1], [0, 1], [4, 4], [3, 0]]
+    deletes = [[3, 0, 1.0, True], [5, 1, 1.0, True]]  # the second is absent
+    live = set(map(tuple, inserts)) - {(3, 0)}
+    src, dst = np.array(sorted(live)).T
+    handle = start_server_thread(
+        _config(algorithm=algorithm), ServeSettings(batch_target=1_000)
+    )
+    try:
+        async def drive():
+            client = await ServeClient.connect(handle.host, handle.port)
+            assert (await client.send_edges(inserts))["ok"]
+            await _until_visible(client)
+            assert (await client.send_edges(deletes))["ok"]
+            await _until_visible(client, min_batches=2)
+            answers = [await client.query("degree", vertex=v) for v in range(6)]
+            await client.close()
+            return answers
+
+        answers = asyncio.run(drive())
+    finally:
+        handle.stop()
+    assert handle.server.pipeline.graph.keeps_in_lists == (algorithm == "pr")
+    assert all(reply["ok"] for reply in answers)
+    assert [r["out_degree"] for r in answers] == np.bincount(src, minlength=6).tolist()
+    assert [r["in_degree"] for r in answers] == np.bincount(dst, minlength=6).tolist()
+
+
 def test_triangle_count_query_from_live_snapshot():
     handle = start_server_thread(
         _config(algorithm="triangles"),

@@ -18,7 +18,10 @@ working tree won and a verdict, and per side the correct runs, failed
 operations and failed checks (with their seeds).  The verdicts:
 
 * ``gain``: the working tree won at least 9/10 of the pairs (ties count
-  for neither side) and the medians differ by more than the base's q3-q1;
+  for neither side) and the medians differ by more than the base's q3-q1,
+  over at least ten pairs;
+* ``too few pairs``: the same, over fewer than ten pairs (one pair wins
+  1/1 and has a q3-q1 of 0, so it would pass any improvement);
 * ``worse than its bound``: the working tree's median is worse than the
   base's by more than the metric's BENCHMARK.json bound;
 * ``unresolved``: the base's own q3-q1 is wider than the bound, unless
@@ -27,12 +30,12 @@ operations and failed checks (with their seeds).  The verdicts:
 
 ``--trace 1`` runs perfbench traced and summarizes BENCHMARK.json's
 per-layer metrics instead; they have no bound, so their verdict is
-``gain`` or ``no gain``.  On a serve workload it adds the untraced server
-CPU seconds per session as a diagnostic row without a verdict: the
-closed-loop query client does more work against a faster server, so a
-change that speeds the server up can raise its CPU time.  The last line
-is the same summary as one JSON object.  A run that exits non-zero stops
-the comparison.
+``gain``, ``too few pairs`` or ``no gain``.  On a serve workload it adds
+the untraced server CPU seconds per session as a diagnostic row without a
+verdict: the closed-loop query client does more work against a faster
+server, so a change that speeds the server up can raise its CPU time.
+The last line is the same summary as one JSON object.  A run that exits
+non-zero stops the comparison.
 """
 
 from __future__ import annotations
@@ -52,6 +55,8 @@ SIDES = ("base", "change")
 CHECK_FAILED = "CHECK FAILED: "
 #: perfbench's traced serve runs print the server's CPU seconds per session.
 SERVER_CPU = re.compile(r"^server CPU s: untraced ([0-9.]+), traced [0-9.]+$")
+#: Fewest pairs a ``gain`` verdict rests on.
+MIN_GAIN_PAIRS = 10
 NO_CPU_VERDICT = (
     "no verdict: the closed-loop query client does more work against a "
     "faster server"
@@ -115,7 +120,7 @@ def verdict(entry: dict, pairs: int, bound: float | None) -> str:
     sign = 1 if entry["better"] == "higher" else -1
     improvement = sign * (change["median"] - base["median"])
     if 10 * entry["wins"] >= 9 * pairs and improvement > spread:
-        return "gain"
+        return "gain" if pairs >= MIN_GAIN_PAIRS else "too few pairs"
     if bound is None:
         return "no gain"
     scale = abs(base["median"])
