@@ -134,7 +134,7 @@ class CellRun:
             self.cads.append(cad)
             self.max_degree = max(self.max_degree, batch.max_degree())
             if with_compute:
-                counters = pagerank.on_batch(batch.unique_vertices())
+                counters = pagerank.on_batch(batch.unique_vertices(), [batch])
                 self.compute.append(
                     compute_round_time(counters, machine=machine)
                 )

@@ -31,7 +31,7 @@ def _run_cell(name, batch_size):
         per_batch_overall = []
         for batch in profile.generator().batches(batch_size, nb):
             u = engine.ingest(batch).time
-            counters = pagerank.on_batch(batch.unique_vertices())
+            counters = pagerank.on_batch(batch.unique_vertices(), [batch])
             c = compute_round_time(counters, machine=machine)
             update += u
             compute += c

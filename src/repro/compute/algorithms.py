@@ -40,7 +40,13 @@ class _SourceMixin:
 
 @register_algorithm("pr")
 class PageRankAlgorithm(ComputeAlgorithm):
-    """Incremental PageRank over the affected-vertex frontier."""
+    """Incremental PageRank over the affected-vertex frontier.
+
+    The engine keeps its own sorted in-CSR, patched from the covered
+    batches, so the graph needs no in-lists.
+    """
+
+    reads_in_lists = False
 
     def __init__(self, ctx):
         super().__init__(ctx)
@@ -56,7 +62,7 @@ class PageRankAlgorithm(ComputeAlgorithm):
             )
 
     def on_round(self, batch, affected, covered):
-        return self.engine.on_batch(affected)
+        return self.engine.on_batch(affected, covered)
 
 
 @register_algorithm("sssp")
@@ -134,6 +140,8 @@ class BFSAlgorithm(_SourceMixin, ComputeAlgorithm):
 @register_algorithm("cc")
 class ConnectedComponentsAlgorithm(ComputeAlgorithm):
     """Incremental connected components (union-find over applied edges)."""
+
+    reads_in_lists = False
 
     def __init__(self, ctx):
         super().__init__(ctx)

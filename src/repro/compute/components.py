@@ -96,9 +96,8 @@ class IncrementalConnectedComponents:
         """Full relabel from the live adjacency after deletions."""
         self.rebuilds += 1
         self._uf = _UnionFind(self.graph.num_vertices)
-        out_adj, __ = self.graph.adjacency_views()
         touched_edges = 0
-        for u, neighbors in out_adj.items():
+        for u, neighbors in self.graph.out_adjacency().items():
             for v in neighbors:
                 self._uf.union(u, v)
             touched_edges += len(neighbors)

@@ -14,16 +14,20 @@ static solution and tests can cross-check them.
 * :class:`IncrementalPageRank` keeps rank state across batches and, per
   round, propagates changes outward from the *affected* vertices (the
   endpoints of the batch's edges) until ranks stop moving — the incremental
-  model of Kineograph/KickStarter-style systems the paper cites.
+  model of Kineograph/KickStarter-style systems the paper cites.  Its
+  rounds run in canonical order (ascending vertex and source ids), so its
+  ranks do not depend on how the graph orders its adjacency.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from itertools import chain, repeat
 
 import numpy as np
 
+from ..datasets.stream import sorted_unique
 from ..errors import ConfigurationError
 from ..graph.base import DynamicGraph
 from ..graph.snapshot import CSRSnapshot
@@ -33,17 +37,32 @@ from .result import ComputeCounters
 __all__ = ["StaticPageRank", "IncrementalPageRank", "check_pagerank_settings"]
 
 #: Frontier size from which a round runs the level-scheduled numpy passes;
-#: smaller rounds run the per-vertex loop.  Measured crossover on fb: a
-#: numpy round costs ~0.1 ms even for a handful of vertices and wins from
-#: ~128 vertices on, but a call's first numpy round also pays the in-CSR
-#: sync, which moves the per-call crossover to ~512 (docs/MODEL.md,
-#: "Dispatch").
+#: smaller rounds run the per-vertex loop (measured crossover in
+#: docs/MODEL.md, "Dispatch").
 SCALAR_FRONTIER_MAX = 512
+
+#: Batches of more than this many edge updates merge into the in-CSR with
+#: numpy; smaller ones edit per-vertex source lists in O(batch) (measured
+#: crossover in docs/MODEL.md, "The in-CSR it owns").
+MERGE_MIN_PAIRS = 512
+
+#: Vertices whose source lists may wait for a fold into the in-CSR: more
+#: pending than this fold before the call's rounds, which bounds each fold
+#: instead of letting the first numpy round after many small calls pay for
+#: all of them (docs/MODEL.md, "The in-CSR it owns").
+FOLD_MAX_PENDING = 1024
 
 _INT32_MAX = 0x7FFFFFFF
 #: Frontier-position sentinel: larger than any position, so "earlier than
 #: me" tests false for vertices outside the frontier.
 _NOT_IN_FRONTIER = _INT32_MAX
+#: How many stored in-CSR edges a numpy scan covers in the time it takes to
+#: read one pushed edge from the out-dicts (measured in docs/MODEL.md,
+#: "Next frontier").
+_SCAN_PER_PUSHED_EDGE = 16
+#: In-CSR work counted per call (``pagerank.csr_*``).
+_WORK = ("folds", "merges", "rebuilds")
+_EMPTY: dict[int, float] = {}
 
 
 def check_pagerank_settings(
@@ -123,13 +142,19 @@ class IncrementalPageRank:
     State persists across batches; each :meth:`on_batch` call localizes the
     recomputation around the affected vertices.
 
-    Each round updates ranks in place, in the frontier set's iteration
-    order, each vertex reading its in-neighbours' freshest values
-    (Gauss–Seidel).  A round of fewer than :data:`SCALAR_FRONTIER_MAX`
+    Each round updates ranks in place in *canonical order*: it visits its
+    frontier in ascending vertex id, and each vertex sums its in-neighbours'
+    contributions in ascending source id, reading the values already updated
+    in that round (Gauss–Seidel).  Neither order depends on how the graph
+    stores its adjacency.  A round of fewer than :data:`SCALAR_FRONTIER_MAX`
     vertices runs that per-vertex loop (:meth:`_scalar_round`); a larger one
     runs as a few numpy passes per dependency level (:meth:`_round`) that
     perform exactly the loop's float operations, so ranks and counters are
     bit-identical whichever path a round takes.
+
+    The engine reads only the graph's out-adjacency and degree arrays.  The
+    in-direction it sums over is its own: a CSR of each vertex's sources in
+    ascending order, patched from the batches each call covers.
 
     Args:
         graph: the dynamic graph the pipeline maintains.
@@ -137,11 +162,14 @@ class IncrementalPageRank:
         tolerance: per-vertex rank change below which propagation stops.
         max_rounds: frontier-round safety cap.
         telemetry: optional telemetry backend; per-call counts of rounds
-            by path and of in-CSR syncs land there (``pagerank.*``).
+            by path and of in-CSR folds, merges and rebuilds land there
+            (``pagerank.*``).
     """
 
-    #: Derived arrays rebuilt on demand, kept out of pickles.
-    _CACHES = ("_in_ptr", "_in_src", "_pos", "_pending")
+    #: Derived state rebuilt on demand, kept out of pickles.
+    _CACHES = (
+        "_ptr", "_src", "_views", "_lists", "_dirty", "_edges", "_pos", "_work"
+    )
 
     def __init__(
         self,
@@ -161,14 +189,22 @@ class IncrementalPageRank:
         self.telemetry = as_telemetry(telemetry)
         self._base = (1.0 - damping) / graph.num_vertices
         self.values: np.ndarray = np.full(graph.num_vertices, self._base)
-        # In-CSR: sources of v's in-edges, in in-adjacency (dict) order, at
-        # _in_src[_in_ptr[v]:_in_ptr[v + 1]], read by numpy rounds only;
-        # _pending marks the vertices whose in-lists changed since it was
-        # last synced; _pos is the per-round frontier-position workspace.
-        self._in_ptr: np.ndarray | None = None
-        self._in_src: np.ndarray | None = None
-        self._pending: np.ndarray | None = None
+        # In-CSR: v's sources, ascending, at _src[_ptr[v]:_ptr[v + 1]];
+        # _views are memoryviews of both, for cheap per-vertex reads.
+        # _lists caches sources as sorted Python lists (what scalar rounds
+        # iterate and small batches edit); _dirty holds the vertices whose
+        # list is newer than their CSR segment.  _edges counts the edges the
+        # state holds, _pos is the per-round frontier-position workspace and
+        # _work tallies one call's in-CSR work for telemetry.
+        self._ptr: np.ndarray | None = None
+        self._src: np.ndarray | None = None
+        self._views: tuple[memoryview, memoryview] | None = None
+        self._lists: dict[int, list[int]] = {}
+        self._dirty: set[int] = set()
+        self._edges = 0
         self._pos: np.ndarray | None = None
+        self._work = dict.fromkeys(_WORK, 0)
+        self._rebuild()
 
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
@@ -185,39 +221,36 @@ class IncrementalPageRank:
         for name in self._CACHES:
             setattr(self, name, None)
 
-    def on_batch(self, affected) -> ComputeCounters:
+    def on_batch(self, affected, batches=None) -> ComputeCounters:
         """Propagate rank changes outward from the affected vertices.
 
         Args:
             affected: iterable of vertex ids whose incident edges changed
                 (for OCA-aggregated rounds, the union over the covered
-                batches).  It must hold every vertex whose adjacency changed
-                since the previous call: the cached in-CSR re-reads only
-                the in-lists of vertices passed as ``affected`` since its
-                last sync (a cheap in-degree check catches a missed one and
-                re-reads everything).
+                batches); the first round's frontier.
+            batches: the batches applied to the graph since the previous
+                call (or since construction), oldest first; for an
+                OCA-aggregated round, every batch it covers.  Their edges
+                patch the in-CSR.  ``None``, or an engine restored from a
+                pickle, rebuilds the in-CSR from the graph's out-adjacency
+                instead, as does a patched state whose edge count or
+                in-degrees disagree with the graph's.
 
         Returns:
             Work counters of this round.
         """
-        if isinstance(affected, np.ndarray):
-            affected = affected.tolist()  # Python ints iterate far faster
-        frontier = set(map(int, affected))
-        order = np.fromiter(frontier, dtype=np.int64, count=len(frontier))
-        if self._pending is None:
-            self._pending = np.zeros(self.graph.num_vertices, dtype=bool)
-        self._pending[order] = True
-        out_adj, in_adj = self.graph.adjacency_views()
+        self._work = dict.fromkeys(_WORK, 0)
+        self._sync(batches)
+        frontier = _vertex_ids(affected)
+        out_adj = self.graph.out_adjacency()
         out_deg = self.graph.out_degrees()
         # Item reads give Python floats and ints, as the loop's list did.
         values_view, deg_view = memoryview(self.values), memoryview(out_deg)
-        empty: dict[int, float] = {}
         touched_vertices = 0
         touched_edges = 0
         rounds = 0
         scalar_rounds = 0
-        synced = reread = False
-        while frontier and rounds < self.max_rounds:
+        while len(frontier) and rounds < self.max_rounds:
             rounds += 1
             # Round 1 pushes every affected vertex's out-neighbors even when
             # its own rank is unchanged: a source that gained edges has a new
@@ -227,30 +260,29 @@ class IncrementalPageRank:
             touched_vertices += len(frontier)
             if len(frontier) < SCALAR_FRONTIER_MAX:
                 scalar_rounds += 1
+                if isinstance(frontier, np.ndarray):
+                    frontier = frontier.tolist()
                 frontier, edges = self._scalar_round(
-                    frontier, values_view, deg_view, out_adj, in_adj, force_push
+                    frontier, values_view, deg_view, out_adj, force_push
                 )
                 touched_edges += edges
                 continue
-            if not synced:
-                reread = self._sync_in_csr(in_adj)
-                synced = True
-            if rounds > 1:
-                order = np.fromiter(frontier, dtype=np.int64, count=len(frontier))
-            pushers, in_edges = self._round(order, out_deg, force_push)
-            touched_edges += in_edges + int(out_deg[pushers].sum())
-            del order
-            # The next frontier's iteration order depends on how the set
-            # grew, so it is built by the same update(dict) calls, in
-            # frontier order, that a per-vertex loop makes.
-            frontier = set()
-            frontier.update(*map(out_adj.get, pushers.tolist(), repeat(empty)))
+            if self._dirty:
+                self._fold()
+                if not self._lengths_match():
+                    self._rebuild()
+            pushers, in_edges = self._round(
+                np.asarray(frontier, dtype=np.int64), out_deg, force_push
+            )
+            pushed = int(out_deg[pushers].sum())
+            touched_edges += in_edges + pushed
+            frontier = self._targets(pushers, pushed, out_adj)
         if self.telemetry.enabled:
             count = self.telemetry.count
             count("pagerank.scalar_rounds", scalar_rounds)
             count("pagerank.vector_rounds", rounds - scalar_rounds)
-            count("pagerank.csr_syncs", int(synced))
-            count("pagerank.csr_rereads", int(reread))
+            for name, n in self._work.items():
+                count(f"pagerank.csr_{name}", n)
         return ComputeCounters(
             iterations=rounds,
             touched_vertices=touched_vertices,
@@ -258,67 +290,76 @@ class IncrementalPageRank:
         )
 
     def _scalar_round(
-        self, frontier: set, values, out_deg, out_adj, in_adj, force_push: bool
-    ) -> tuple[set, int]:
-        """Recompute ``frontier`` in place, one vertex at a time.
+        self, frontier: list, values, out_deg, out_adj, force_push: bool
+    ) -> tuple[list | np.ndarray, int]:
+        """Recompute ``frontier`` (ascending ids) in place, one vertex at a time.
 
-        The per-vertex loop itself: in set iteration order, each vertex sums
-        ``values[u] / outdeg(u)`` over its in-list, left to right from
+        The per-vertex loop itself: each vertex sums ``values[u] /
+        outdeg(u)`` over its sources in ascending order, left to right from
         ``0.0``.  ``values`` and ``out_deg`` are memoryviews of the rank and
         out-degree arrays.
 
         Returns:
-            (the next frontier, in-edges read plus out-edges pushed along).
+            (the next frontier, ascending, as a list or, when a numpy
+            round comes next, an array; in-edges read plus out-edges pushed
+            along).
         """
         base = self._base
         damping = self.damping
         tolerance = self.tolerance
-        empty: dict[int, float] = {}
+        lists = self._lists
         next_frontier: set[int] = set()
         touched_edges = 0
         for v in frontier:
+            sources = lists.get(v)
+            if sources is None:
+                sources = self._load(v)
             total = 0.0
-            in_nbrs = in_adj.get(v, empty)
-            for u in in_nbrs:
+            for u in sources:
                 deg = out_deg[u]
                 if deg:
                     total += values[u] / deg
-            touched_edges += len(in_nbrs)
+            touched_edges += len(sources)
             new_value = base + damping * total
             if force_push or abs(new_value - values[v]) > tolerance:
-                out_nbrs = out_adj.get(v, empty)
+                out_nbrs = out_adj.get(v, _EMPTY)
                 touched_edges += len(out_nbrs)
                 next_frontier.update(out_nbrs)
             values[v] = new_value
-        return next_frontier, touched_edges
+        if len(next_frontier) < SCALAR_FRONTIER_MAX:
+            return sorted(next_frontier), touched_edges
+        # A numpy round comes next: sort as an array.
+        return np.sort(
+            np.fromiter(next_frontier, dtype=np.int64, count=len(next_frontier))
+        ), touched_edges
 
     def _round(
         self, order: np.ndarray, out_deg: np.ndarray, force_push: bool
     ) -> tuple[np.ndarray, int]:
-        """Recompute the frontier ``order`` (set iteration order) in place.
+        """Recompute the frontier ``order`` (ascending ids) in place.
 
         The per-vertex loop (:meth:`_scalar_round`) visits ``order[0],
         order[1], ...`` and sums ``values[u] / outdeg(u)`` over each
-        vertex's in-list left to right, so ``order[i]`` reads the *new*
+        vertex's sources left to right, so ``order[i]`` reads the *new*
         value of an in-neighbour at an earlier position and the pre-round
         value of any other (later, itself, or outside the frontier).  A
         vertex's dependency level is one more than the highest level among
         its earlier in-neighbours; all vertices of one level read only lower
         levels' results, so they are computed together, each sum
-        accumulated column by column in in-list order — the loop's exact
+        accumulated column by column in source order — the loop's exact
         float operations.
 
         Returns:
-            (the vertices that push, in frontier order; in-edges read).
+            (the vertices that push, ascending; in-edges read).
         """
         values = self.values
         k = len(order)
-        starts = self._in_ptr[order]
-        lens = self._in_ptr[order + 1] - starts
+        starts = self._ptr[order]
+        lens = self._ptr[order + 1] - starts
         seg_off = np.cumsum(lens) - lens
         n_in = int(lens.sum())
         owner = np.repeat(np.arange(k), lens)
-        src = self._in_src[np.arange(n_in) + np.repeat(starts - seg_off, lens)]
+        src = self._src[np.arange(n_in) + np.repeat(starts - seg_off, lens)]
         pos = self._pos
         if pos is None:
             pos = self._pos = np.full(len(values), _NOT_IN_FRONTIER, np.int32)
@@ -359,60 +400,200 @@ class IncrementalPageRank:
             values[targets] = new
         return order[push], n_in
 
-    def _sync_in_csr(self, in_adj) -> bool:
-        """Bring the cached in-CSR up to date with the graph.
+    def _targets(self, pushers: np.ndarray, pushed: int, out_adj) -> np.ndarray:
+        """The next frontier: the sorted unique out-targets of ``pushers``,
+        whose out-degrees sum to ``pushed``.
 
-        Re-reads only the in-lists of the vertices marked pending since the
-        last sync, then clears the marks.  On the first sync, or when the
-        patched in-lengths disagree with ``in_degrees()`` — a changed vertex
-        never passed as ``affected`` — every in-list is read afresh.
+        Reading the out-dicts costs per pushed edge; scanning the in-CSR
+        for sources that push costs per stored edge but runs in numpy, about
+        :data:`_SCAN_PER_PUSHED_EDGE` times cheaper per edge.  The round
+        takes the cheaper one (docs/MODEL.md, "Next frontier").
+        """
+        if pushed * _SCAN_PER_PUSHED_EDGE < len(self._src):
+            targets = map(out_adj.get, pushers.tolist(), repeat(_EMPTY))
+            return sorted_unique(
+                np.fromiter(
+                    chain.from_iterable(targets), dtype=np.int64, count=pushed
+                )
+            )
+        pushes = np.zeros(len(self.values), dtype=bool)
+        pushes[pushers] = True
+        # Slots are ascending, so their owners come out sorted.
+        owners = np.searchsorted(
+            self._ptr, np.flatnonzero(pushes[self._src]), side="right"
+        ) - 1
+        return owners[np.r_[True, owners[1:] != owners[:-1]]] if len(owners) else owners
+
+    # -- the in-CSR ------------------------------------------------------------
+
+    def _sync(self, batches) -> None:
+        """Bring the in-CSR state up to the graph's before a call's rounds.
+
+        Applies ``batches`` in order.  Folds the changed lists into the CSR
+        once more than :data:`FOLD_MAX_PENDING` vertices are pending, so no
+        later fold grows with the number of calls since the last numpy
+        round, and after a merge in this call.  Rebuilds from the graph's
+        out-adjacency without batches, without a CSR (an unpickled engine),
+        or when the guard fails: the state's edge count differs from the
+        graph's, or a CSR this call replaced has in-lengths other than the
+        graph's in-degrees.
+        """
+        if self._ptr is not None and batches is not None:
+            replaced = False
+            for batch in batches:
+                replaced |= self._apply(batch)
+            # A replaced CSR is checked against the graph's in-degrees, so
+            # lists edited after a merge are folded into it first.
+            if self._dirty and (replaced or len(self._dirty) > FOLD_MAX_PENDING):
+                self._fold()
+                replaced = True
+            if self._edges == self.graph.num_edges and (
+                not replaced or self._lengths_match()
+            ):
+                return
+        self._rebuild()
+
+    def _apply(self, batch) -> bool:
+        """Apply one batch's inserts, then its deletes (the graph's order).
+
+        Inserting a present edge and deleting an absent one are no-ops, as
+        in the graph.  A batch of more than :data:`MERGE_MIN_PAIRS` pairs
+        merges into the CSR with numpy; a smaller one edits the sorted
+        lists of the vertices it changes, in O(batch).
 
         Returns:
-            Whether that in-degree check fired.
+            Whether the batch merged into (and so replaced) the CSR.
         """
-        affected = np.flatnonzero(self._pending)
-        self._pending[affected] = False
-        in_deg = self.graph.in_degrees()
-        if self._in_ptr is not None:
-            lists = list(map(in_adj.get, affected.tolist(), repeat({})))
-            new_len = np.diff(self._in_ptr)
-            new_len[affected] = np.fromiter(map(len, lists), np.int64, count=len(lists))
-            if np.array_equal(new_len, in_deg):
-                self._patch_in_csr(affected, lists, new_len)
-                return False
-        reread = self._in_ptr is not None
-        n = self.graph.num_vertices
-        self._in_ptr = np.zeros(n + 1, dtype=np.int64)
-        self._in_src = np.empty(0, dtype=np.int32 if n <= _INT32_MAX else np.int64)
-        verts = np.flatnonzero(in_deg)
-        lists = list(map(in_adj.__getitem__, verts.tolist()))
-        new_len = np.zeros(n, dtype=np.int64)
-        new_len[verts] = np.fromiter(map(len, lists), np.int64, count=len(lists))
-        self._patch_in_csr(verts, lists, new_len)
-        return reread
+        inserts, deletes = batch.insertions, batch.deletions
+        if inserts.size + deletes.size > MERGE_MIN_PAIRS:
+            self._merge(inserts, deletes)
+            return True
+        lists, dirty = self._lists, self._dirty
+        edges = self._edges
+        for u, v in zip(inserts.src.tolist(), inserts.dst.tolist()):
+            sources = lists.get(v)
+            if sources is None:
+                sources = self._load(v)
+            i = bisect_left(sources, u)
+            if i == len(sources) or sources[i] != u:
+                sources.insert(i, u)
+                dirty.add(v)
+                edges += 1
+        for u, v in zip(deletes.src.tolist(), deletes.dst.tolist()):
+            sources = lists.get(v)
+            if sources is None:
+                sources = self._load(v)
+            i = bisect_left(sources, u)
+            if i < len(sources) and sources[i] == u:
+                del sources[i]
+                dirty.add(v)
+                edges -= 1
+        self._edges = edges
+        return False
 
-    def _patch_in_csr(
-        self, verts: np.ndarray, lists: list, new_len: np.ndarray
-    ) -> None:
-        """Replace the in-lists of ``verts`` by ``lists`` (new lengths
-        ``new_len`` for every vertex); other segments move by mask."""
-        old_len = np.diff(self._in_ptr)
-        keep = np.ones(len(new_len), dtype=bool)
-        keep[verts] = False
-        ptr = np.zeros(len(new_len) + 1, dtype=np.int64)
-        np.cumsum(new_len, out=ptr[1:])
-        src = np.empty(int(ptr[-1]), dtype=self._in_src.dtype)
-        slots = np.repeat(keep, new_len)
-        src[slots] = self._in_src[np.repeat(keep, old_len)]
-        np.logical_not(slots, out=slots)
-        src[slots] = np.fromiter(
-            chain.from_iterable(lists), dtype=src.dtype, count=int(new_len[verts].sum())
+    def _load(self, v: int) -> list[int]:
+        """``v``'s sources as a cached list, read from its CSR segment."""
+        ptr, src = self._views
+        sources = self._lists[v] = src[ptr[v] : ptr[v + 1]].tolist()
+        return sources
+
+    def _fold(self) -> None:
+        """Write the pending vertices' lists into the CSR, in O(E) numpy
+        work plus O(pending): their old segments are cut out and their
+        lists spliced in where those began.  The lists stay cached: they
+        now equal the CSR."""
+        verts = sorted(self._dirty)
+        self._dirty.clear()
+        lists = list(map(self._lists.__getitem__, verts))
+        verts = np.array(verts, dtype=np.int64)
+        starts = self._ptr[verts]
+        old_len = self._ptr[verts + 1] - starts
+        new_len = np.fromiter(map(len, lists), np.int64, count=len(lists))
+        # Where each segment begins once the earlier ones are cut out.
+        at = starts - (np.cumsum(old_len) - old_len)
+        kept = np.delete(
+            self._src, np.arange(int(old_len.sum())) + np.repeat(at, old_len)
         )
-        self._in_ptr, self._in_src = ptr, src
+        self._src = np.insert(
+            kept,
+            np.repeat(at, new_len),
+            np.fromiter(
+                chain.from_iterable(lists), dtype=kept.dtype, count=int(new_len.sum())
+            ),
+        )
+        grow = np.zeros(len(self._ptr), dtype=np.int64)
+        grow[verts + 1] = new_len - old_len
+        self._ptr = self._ptr + np.cumsum(grow)
+        self._views = memoryview(self._ptr), memoryview(self._src)
+        self._work["folds"] += 1
+
+    def _merge(self, inserts, deletes) -> None:
+        """Merge a large batch into the CSR as sorted ``dst * V + src`` keys."""
+        if self._dirty:
+            self._fold()
+        n = self.graph.num_vertices
+        dst = np.repeat(np.arange(n, dtype=np.int64), np.diff(self._ptr))
+        keys = dst * n + self._src
+        if inserts.size:
+            new = sorted_unique(inserts.dst.astype(np.int64) * n + inserts.src)
+            at, found = _find(keys, new)
+            keys = np.insert(keys, at[~found], new[~found])
+        if deletes.size:
+            gone = sorted_unique(deletes.dst.astype(np.int64) * n + deletes.src)
+            at, found = _find(keys, gone)
+            keys = np.delete(keys, at[found])
+        self._set_csr(keys)
+        self._lists.clear()
+        self._work["merges"] += 1
+
+    def _rebuild(self) -> None:
+        """Build the in-CSR afresh from the graph's out-adjacency."""
+        out_adj = self.graph.out_adjacency()
+        owners = np.fromiter(out_adj.keys(), dtype=np.int64, count=len(out_adj))
+        lens = np.fromiter(
+            map(len, out_adj.values()), dtype=np.int64, count=len(out_adj)
+        )
+        targets = np.fromiter(
+            chain.from_iterable(out_adj.values()), dtype=np.int64, count=int(lens.sum())
+        )
+        n = self.graph.num_vertices
+        self._set_csr(np.sort(targets * n + np.repeat(owners, lens)))
+        self._lists = {}
+        self._dirty = set()
+        self._work["rebuilds"] += 1
+
+    def _set_csr(self, keys: np.ndarray) -> None:
+        """Replace the CSR by the sorted, unique ``dst * V + src`` keys."""
+        n = self.graph.num_vertices
+        dst = keys // n
+        self._ptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(dst, minlength=n), out=self._ptr[1:])
+        self._src = (keys - dst * n).astype(np.int32 if n <= _INT32_MAX else np.int64)
+        self._views = memoryview(self._ptr), memoryview(self._src)
+        self._edges = len(keys)
+
+    def _lengths_match(self) -> bool:
+        return np.array_equal(np.diff(self._ptr), self.graph.in_degrees())
 
     def as_array(self) -> np.ndarray:
         """Current rank vector as a fresh numpy array."""
         return np.array(self.values, dtype=np.float64)
+
+
+def _vertex_ids(affected) -> np.ndarray:
+    """``affected`` (an array or any iterable of ids) as sorted unique int64."""
+    if not isinstance(affected, np.ndarray):
+        affected = np.fromiter(affected, dtype=np.int64)
+    return sorted_unique(affected.astype(np.int64, copy=False))
+
+
+def _find(keys: np.ndarray, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Insertion points of sorted ``queries`` in sorted ``keys``, and which
+    of them are present there."""
+    at = np.searchsorted(keys, queries)
+    found = at < len(keys)
+    found[found] = keys[at[found]] == queries[found]
+    return at, found
 
 
 def _contributions(ranks: np.ndarray, degrees: np.ndarray) -> np.ndarray:

@@ -127,6 +127,9 @@ class AdjacencyListGraph(DynamicGraph):
             return self._out, self._in_from_out()
         return self._out, self._in
 
+    def out_adjacency(self) -> dict[int, dict[int, float]]:
+        return self._out
+
     def _in_from_out(self) -> dict[int, dict[int, float]]:
         """The in-mapping of a graph without in-lists, from the out-dicts.
 

@@ -204,6 +204,14 @@ class DynamicGraph(abc.ABC):
         the out-adjacency on each call.
         """
 
+    def out_adjacency(self) -> dict[int, dict[int, float]]:
+        """The live out-mapping of :meth:`adjacency_views`, read-only.
+
+        For readers of the out-direction alone: a structure without stored
+        in-lists returns it without building an in-mapping.
+        """
+        return self.adjacency_views()[0]
+
     def consume_phase_overhead(self) -> float:
         """Structure-specific maintenance time accrued by the last batch.
 

@@ -181,8 +181,8 @@ class StreamingPipeline:
                 profile.num_vertices, keep_in_lists=algorithm_cls.reads_in_lists
             )
         elif algorithm_cls.reads_in_lists and not graph.keeps_in_lists:
-            # In-lists rebuilt from the out-dicts have another order, and
-            # pr's sums follow in-list order: its floats would move silently.
+            # Without in-lists, every in_neighbors() call scans all the
+            # out-dicts: the algorithm would slow down silently.
             raise ConfigurationError(
                 f"algorithm {algorithm!r} reads in-lists, but the graph "
                 "keeps none"

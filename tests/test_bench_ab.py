@@ -139,7 +139,7 @@ def test_trace_runs_traced_and_compares_the_per_layer_metrics(monkeypatch, capsy
     spec = bench_ab.json.loads((bench_ab.ROOT / "BENCHMARK.json").read_text())
     calls = []
 
-    def fake_run(tree, workload, seed, seconds, trace=0):
+    def fake_run(tree, workload, seed, seconds, trace, pycache):
         calls.append(trace)
         return {
             "correct": True, "attempted": 1, "failed": 0,
@@ -186,7 +186,7 @@ def test_failed_checks_print_under_their_pair_and_reach_the_summary(
 ):
     spec = bench_ab.json.loads((bench_ab.ROOT / "BENCHMARK.json").read_text())
 
-    def fake_run(tree, workload, seed, seconds, trace=0):
+    def fake_run(tree, workload, seed, seconds, trace, pycache):
         correct = not (tree == bench_ab.ROOT and seed == 8)
         lines = [] if correct else ["CHECK FAILED: 32 degree answers wrong"]
         run = {
@@ -230,3 +230,46 @@ def test_server_cpu_is_a_row_without_a_verdict(capsys):
     # A side without the line (an untraced or offline run) drops the row.
     pairs[0]["base"]["server_cpu_s"] = None
     assert "server_cpu_s" not in bench_ab.summarize(pairs, METRICS)
+
+
+def test_each_side_runs_with_its_own_fresh_bytecode_cache(monkeypatch, capsys):
+    """The working tree's ``__pycache__`` must not shorten its ``setup_s``:
+    each side compiles into its own cache, new under the temporary
+    directory, and an inherited no-bytecode setting is dropped."""
+    spec = bench_ab.json.loads((bench_ab.ROOT / "BENCHMARK.json").read_text())
+    run = {
+        "correct": True, "attempted": 1, "failed": 0,
+        "metrics": {m["name"]: {"value": 1.0} for m in spec["end_to_end"]},
+    }
+    envs = []
+
+    def fake_subprocess_run(cmd, cwd, env, **kwargs):
+        prefix = Path(env["PYTHONPYCACHEPREFIX"])
+        # Fresh: nothing compiled into it before this side's first run.
+        fresh = not any(e["PYTHONPYCACHEPREFIX"] == str(prefix) for e in envs)
+        assert not fresh or not prefix.exists()
+        envs.append({**env, "cwd": Path(cwd)})
+        return bench_ab.subprocess.CompletedProcess(
+            cmd, 0, stdout=_stdout(run), stderr=""
+        )
+
+    monkeypatch.setattr(bench_ab, "export", lambda rev, dest: None)
+    monkeypatch.setattr(bench_ab.subprocess, "run", fake_subprocess_run)
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    monkeypatch.setenv("PYTHONPYCACHEPREFIX", "/somewhere/shared")
+    assert bench_ab.main(["--base", "HEAD", "--workload", "pr-lj",
+                          "--pairs", "2"]) == 0
+    capsys.readouterr()
+    assert len(envs) == 4
+    assert not any("PYTHONDONTWRITEBYTECODE" in env for env in envs)
+    prefix = {}
+    for env in envs:
+        side = "change" if env["cwd"] == bench_ab.ROOT else "base"
+        prefix.setdefault(side, set()).add(env["PYTHONPYCACHEPREFIX"])
+    assert all(len(p) == 1 for p in prefix.values())  # one cache per side
+    base, change = (Path(prefix[side].pop()) for side in ("base", "change"))
+    assert base != change
+    # Both live in the temporary directory, beside the exported base.
+    tmp = next(e["cwd"] for e in envs if e["cwd"] != bench_ab.ROOT).parent
+    assert base.parent == tmp and change.parent == tmp
+    assert not change.is_relative_to(bench_ab.ROOT)

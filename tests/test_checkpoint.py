@@ -270,6 +270,48 @@ def test_resume_bit_identical_across_cells(tmp_path, algorithm, mode, use_oca):
     assert resumed.run(10, resume_from=checkpoint) == expected
 
 
+def test_pr_checkpoint_with_in_dicts_resumes_and_continues(tmp_path):
+    """A ``pr`` checkpoint written before the canonical order (its graph
+    keeps in-dicts, and it holds an OCA-deferred batch) resumes in this
+    tree: the graph keeps its in-dicts and maintains them, the engine
+    rebuilds its in-CSR from the restored graph, which already holds the
+    deferred batch, and the ranks end within the exact-order bound of an
+    uninterrupted run (tests/test_pagerank_differential.py)."""
+    import gzip
+    import importlib.util
+    from pathlib import Path
+
+    import numpy as np
+
+    golden = Path(__file__).resolve().parent / "golden"
+    spec = importlib.util.spec_from_file_location(
+        "capture_pr_checkpoint", golden / "capture_pr_checkpoint.py"
+    )
+    capture = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(capture)
+    path = tmp_path / "old.ckpt"
+    path.write_bytes(gzip.decompress(capture.GOLDEN_PATH.read_bytes()))
+    checkpoint = PipelineCheckpoint.load(path)
+    resumed = capture.fixture_pipeline()
+    metrics = resumed.run(capture.TOTAL_BATCHES, resume_from=checkpoint)
+    graph = resumed.graph
+    assert graph.keeps_in_lists
+    __, in_view = graph.adjacency_views()
+    assert graph.in_degrees().tolist() == [
+        len(in_view.get(v, {})) for v in range(graph.num_vertices)
+    ]
+    assert len(metrics.batches) == capture.TOTAL_BATCHES
+    assert metrics.batches[capture.CAPTURED_BATCHES - 1].deferred
+    continued = metrics.batches[capture.CAPTURED_BATCHES:]
+    assert all(b.compute_time > 0 for b in continued if not b.deferred)
+    engine = resumed.compute.engine
+    assert engine._edges == graph.num_edges
+    fresh = capture.fixture_pipeline()
+    fresh.run(capture.TOTAL_BATCHES)
+    got, want = engine.as_array(), fresh.compute.engine.as_array()
+    assert np.abs(got - want).max() <= 10 * engine.tolerance
+
+
 @pytest.mark.parametrize("keep_in_lists", [True, False],
                          ids=["with-in-dicts", "without-in-dicts"])
 def test_pr_static_checkpoint_resumes_with_or_without_in_dicts(keep_in_lists):

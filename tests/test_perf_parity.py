@@ -10,6 +10,7 @@ values, same ordering.
 import functools
 import os
 import pickle
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -300,13 +301,34 @@ def test_notify_external_mutation_resyncs_caches():
     )
 
 
-@pytest.mark.parametrize("algorithm", ["pr_static", "none"])
+def _stream_with_deletes(dataset, batch_size, count):
+    """``count`` batches of ``dataset``'s stream; from the second on, each
+    also deletes the first fifth of the previous batch's edges."""
+    generator = get_dataset(dataset).generator(seed=7)
+    batches, previous = [], None
+    for i in range(count):
+        inserts = generator.generate_batch(i, batch_size)
+        src, dst = inserts.src.tolist(), inserts.dst.tolist()
+        deletes = 0
+        if previous is not None:
+            deletes = len(previous.src) // 5
+            src += previous.src[:deletes].tolist()
+            dst += previous.dst[:deletes].tolist()
+        is_delete = [False] * len(inserts.src) + [True] * deletes
+        batches.append(make_batch(src, dst, batch_id=i, is_delete=is_delete))
+        previous = inserts
+    return batches
+
+
+@pytest.mark.parametrize("algorithm", ["pr_static", "none", "pr", "cc"])
 @pytest.mark.parametrize("mode", capture_parity.MODE_LIST)
 def test_out_only_pipeline_matches_one_with_in_lists(mode, algorithm):
     """A pipeline whose algorithm reads no in-lists builds its graph
-    without them, and its RunMetrics equal those of the same config given
-    a graph that keeps them, in every golden mode (hw_only and dynamic
-    feed both directions' stats to the HAU)."""
+    without them, never builds an in-mapping from its out-dicts, and its
+    RunMetrics equal those of the same config given a graph that keeps
+    them, in every golden mode (hw_only and dynamic feed both directions'
+    stats to the HAU).  ``cc`` runs a stream with deletes, whose batches
+    relabel from the out-adjacency."""
     config = RunConfig(
         dataset="fb", batch_size=500, algorithm=algorithm, mode=mode,
         num_batches=4,
@@ -316,7 +338,21 @@ def test_out_only_pipeline_matches_one_with_in_lists(mode, algorithm):
     kept = config.build_pipeline(
         graph=AdjacencyListGraph(get_dataset("fb").num_vertices)
     )
-    assert out_only.run(4) == kept.run(4)
+    batches = _stream_with_deletes("fb", 500, 4) if algorithm == "cc" else None
+
+    def run(pipeline):
+        if batches is None:
+            return pipeline.run(4)
+        for i, batch in enumerate(batches):
+            pipeline.step(final=i == len(batches) - 1, batch=batch)
+        assert pipeline.compute.engine.rebuilds == 3
+        return pipeline.metrics
+
+    with mock.patch.object(
+        AdjacencyListGraph, "_in_from_out", side_effect=AssertionError
+    ):
+        got = run(out_only)
+    assert got == run(kept)
 
 
 # -- workload executor ---------------------------------------------------------

@@ -96,7 +96,7 @@ def test_builtin_pipelines_keep_in_lists_iff_their_algorithm_reads_them(
     flat_profile,
 ):
     readers = {name for name in ALGORITHMS if get_algorithm(name).reads_in_lists}
-    assert readers == {"pr", "sssp", "bfs", "cc"}
+    assert readers == {"sssp", "bfs"}
     for name in ALGORITHMS:
         pipeline = StreamingPipeline(flat_profile, 300, name, UpdatePolicy.BASELINE)
         assert pipeline.graph.keeps_in_lists == (name in readers), name
@@ -106,10 +106,11 @@ def test_graph_without_in_lists_refused_for_an_algorithm_that_reads_them(
     flat_profile,
 ):
     bare = AdjacencyListGraph(flat_profile.num_vertices, keep_in_lists=False)
-    for name in ("pr", "sssp", "bfs", "cc"):
+    for name in ("sssp", "bfs"):
         with pytest.raises(ConfigurationError, match="reads in-lists"):
             StreamingPipeline(flat_profile, 300, name, graph=bare)
-    assert StreamingPipeline(flat_profile, 300, "pr_static", graph=bare).graph is bare
+    for name in ("pr", "pr_static", "cc"):
+        assert StreamingPipeline(flat_profile, 300, name, graph=bare).graph is bare
 
 
 def test_custom_algorithm_drives_pipeline(flat_profile, touch_counter_algorithm):

@@ -9,7 +9,10 @@ makes ``--pairs`` pairs of ``perfbench/run.py --workload W --seed S`` runs,
 one in that copy and one in the working tree, pair ``i`` on seed
 ``--seed + i``.  The side that runs first alternates from pair to pair, so
 a drift in host speed reaches both sides alike.  Each side runs its own
-``perfbench/`` against its own ``src/``, one run at a time.
+``perfbench/`` against its own ``src/``, one run at a time, with its own
+bytecode cache: a new ``PYTHONPYCACHEPREFIX`` directory under the temporary
+directory, so neither side starts from modules compiled before (the
+working tree's ``__pycache__`` would otherwise shorten its ``setup_s``).
 
 Prints every run as it finishes, with the ``CHECK FAILED`` lines of a run
 that was not correct under its line.  Then, per end-to-end metric of
@@ -72,11 +75,19 @@ def export(rev: str, dest: Path) -> None:
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
 
 
+#: Inherited variables a run must not see: its own tree sets the import
+#: path, and the side's bytecode cache must be written and read.
+CHILD_ENV_DROP = ("PYTHONPATH", "PYTHONDONTWRITEBYTECODE", "PYTHONPYCACHEPREFIX")
+
+
 def run_once(
-    tree: Path, workload: str, seed: int, seconds: float, trace: int = 0
+    tree: Path, workload: str, seed: int, seconds: float, trace: int,
+    pycache: Path,
 ) -> dict:
-    """One ``perfbench/run.py`` run in ``tree``; its final JSON line."""
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    """One ``perfbench/run.py`` run in ``tree``, compiling into and reading
+    from the bytecode cache ``pycache``; its final JSON line."""
+    env = {k: v for k, v in os.environ.items() if k not in CHILD_ENV_DROP}
+    env["PYTHONPYCACHEPREFIX"] = str(pycache)
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)],
@@ -221,8 +232,10 @@ def main(argv=None) -> int:
         parser.error("--pairs must be >= 1")
     pairs = []
     with tempfile.TemporaryDirectory(prefix="bench-ab-") as tmp:
-        trees = {"base": Path(tmp), "change": ROOT}
+        trees = {"base": Path(tmp) / "base", "change": ROOT}
+        trees["base"].mkdir()
         export(args.base, trees["base"])
+        caches = {side: Path(tmp) / f"pycache-{side}" for side in SIDES}
         for i in range(args.pairs):
             seed = args.seed + i
             order = SIDES if i % 2 == 0 else SIDES[::-1]
@@ -230,7 +243,7 @@ def main(argv=None) -> int:
             for side in order:
                 pair[side] = run_once(
                     trees[side], args.workload, seed, spec["run_seconds"],
-                    args.trace,
+                    args.trace, caches[side],
                 )
                 shown = ", ".join(
                     f"{k}={v['value']:.4g}" for k, v in pair[side]["metrics"].items()
