@@ -113,18 +113,23 @@ class StaticPageRank:
         n = snapshot.num_vertices
         base = (1.0 - self.damping) / n
         values = np.full(n, base)
-        out_deg = snapshot.out_degrees().astype(np.float64)
-        safe_deg = np.maximum(out_deg, 1.0)
+        out_deg = snapshot.out_degrees()
+        # A vertex without out-edges repeats zero times below, so its
+        # quotient never reaches an edge.
+        safe_deg = np.maximum(out_deg, 1).astype(np.float64)
         touched_edges = 0
         iterations = 0
         for iterations in range(1, self.max_iterations + 1):
-            contrib = np.where(out_deg > 0, values / safe_deg, 0.0)
-            per_edge = np.repeat(contrib, snapshot.out_degrees())
-            new_values = base + self.damping * np.bincount(
+            per_edge = np.repeat(values / safe_deg, out_deg)
+            # Without edges bincount returns int64 zeros, hence the astype.
+            new_values = np.bincount(
                 snapshot.out_targets, weights=per_edge, minlength=n
-            )
+            ).astype(np.float64, copy=False)
+            new_values *= self.damping
+            new_values += base
             touched_edges += snapshot.num_edges
-            delta = float(np.abs(new_values - values).sum())
+            values -= new_values
+            delta = float(np.abs(values, out=values).sum())
             values = new_values
             if delta < self.tolerance * n:
                 break

@@ -18,10 +18,12 @@ per-vertex implementation as the semantics oracle; the two must produce
 bit-identical :class:`~repro.graph.base.DirectionStats`.
 
 Delta tracking (:meth:`AdjacencyListGraph.track_deltas`) journals the
-out-direction only, which is all a CSR snapshot holds.  Its merges take a
-composite-key sort and insert each vertex's new targets in ascending order;
-the in-direction, and both directions when untracked, insert in
-first-occurrence batch order, exactly like the reference loop.
+out-direction's edits in order (:class:`~repro.graph.base.GraphDelta`),
+which is all a CSR snapshot needs.  Its merges take a composite-key sort,
+insert each vertex's new targets in ascending order, and tell new pairs
+from duplicates in the same ``dict.setdefault`` pass; the in-direction, and
+both directions when untracked, insert in first-occurrence batch order,
+exactly like the reference loop.
 
 A graph built with ``keep_in_lists=False`` stores no in-dicts, only the
 in-degree array.  In-dicts hold the transpose of the out-dicts, so the
@@ -33,7 +35,7 @@ from __future__ import annotations
 
 from collections import deque
 from itertools import chain, compress, repeat
-from operator import is_not
+from operator import is_, is_not
 
 import numpy as np
 
@@ -47,6 +49,16 @@ __all__ = ["AdjacencyListGraph"]
 # default never mutates the dict it misses in, so the empty dict stays empty.
 _EMPTY: dict[int, float] = {}
 _MISSING = object()
+
+#: One journal entry: the ``(owners, targets, weights, kinds)`` of edits.
+Edits = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+
+def _edits(
+    kind: int, owners: np.ndarray, targets: np.ndarray, weights: np.ndarray
+) -> Edits:
+    """A journal entry of edits that all have the same ``kind``."""
+    return owners, targets, weights, np.full(len(owners), kind, dtype=np.int8)
 
 
 def _runs(sorted_keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -87,12 +99,10 @@ class AdjacencyListGraph(DynamicGraph):
         self._deg_out = np.zeros(num_vertices, dtype=np.int64)
         self._deg_in = np.zeros(num_vertices, dtype=np.int64)
         # Delta journal for snapshot patching (see track_deltas): the
-        # out-direction's appended-edge arrays of each batch plus the set of
-        # vertices whose existing out-slices went stale.
+        # out-direction's edits since the last consume_delta(), in order.
         self._track = False
         self._delta_invalid = False
-        self._journal_out: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-        self._stale_out: set[int] = set()
+        self._journal_out: list[Edits] = []
         # Incrementally maintained set of vertices that ever had an incident
         # edge (with in-lists, the union of both directions' key sets), with
         # a cached sorted materialization (invalidated when vertices are added).
@@ -163,14 +173,26 @@ class AdjacencyListGraph(DynamicGraph):
             self._touched_sorted = sorted(self._touched)
         return self._touched_sorted
 
-    def touched_count(self) -> int:
-        return len(self._touched)
+    def __setstate__(self, state: dict) -> None:
+        """Load pickles whose journal predates the ordered edit journal.
+
+        Their journal entries are appends only, ``(owners, targets,
+        weights)``, and a set of stale owners stood for every weight change
+        and delete.  Appends convert; stale owners poison the journal, so
+        the next snapshot rebuilds.
+        """
+        if state.pop("_stale_out", None):
+            state["_delta_invalid"] = True
+        state["_journal_out"] = [
+            entry if len(entry) == 4 else _edits(GraphDelta.APPEND, *entry)
+            for entry in state.get("_journal_out", [])
+        ]
+        self.__dict__.update(state)
 
     def track_deltas(self, enabled: bool = True) -> None:
         self._track = enabled
         self._delta_invalid = False
         self._journal_out = []
-        self._stale_out = set()
 
     def notify_external_mutation(self) -> None:
         self.num_edges = sum(map(len, self._out.values()))
@@ -205,9 +227,8 @@ class AdjacencyListGraph(DynamicGraph):
         if self._delta_invalid:
             self.track_deltas(True)  # reset journal, report "unknown"
             return None
-        delta = GraphDelta.from_journal(self._journal_out, self._stale_out)
+        delta = GraphDelta.from_journal(self._journal_out)
         self._journal_out = []
-        self._stale_out = set()
         return delta
 
     def sum_search_cost(
@@ -279,7 +300,7 @@ class AdjacencyListGraph(DynamicGraph):
         are recorded while delta tracking is on.  Untracked ingest applies
         edges in stable key-sorted order, so later repeats overwrite earlier
         ones without an explicit dedup pass; the tracked path needs
-        deduplicated appends for the delta journal and pays for a
+        deduplicated pairs for the delta journal and pays for a
         composite-key sort instead.
 
         Returns:
@@ -307,7 +328,9 @@ class AdjacencyListGraph(DynamicGraph):
         dedup_idx = order[last]
         owners = keys[dedup_idx]  # gathers, cheaper than decoding comp by division
         targets = values[dedup_idx]
-        merged_weights = weights[dedup_idx]
+        # float64, so tolist() below makes a fresh object per pair (Python
+        # shares small ints) and the setdefault pass can tell new pairs.
+        merged_weights = weights[dedup_idx].astype(np.float64, copy=False)
         verts, dedup_counts = _runs(owners)
         __, batch_degree = _runs(keys[order])
         length_before = degrees[verts]
@@ -316,18 +339,31 @@ class AdjacencyListGraph(DynamicGraph):
             np.array(vert_entries, dtype=object), dedup_counts
         ).tolist()
         targets_list = targets.tolist()
-        # Per-edge duplicate flags feed the delta journal and, without
-        # in-lists, the in-direction's stats; this direction's stats get by
-        # with per-vertex length deltas.
-        is_dup = np.fromiter(
-            map(dict.__contains__, entries, targets_list),
-            dtype=bool,
-            count=len(entries),
+        weights_list = merged_weights.tolist()
+        # One setdefault pass inserts the new pairs and reads the stored
+        # weight of the others.  Each pair occurs once with its own fresh
+        # float, so a pair is new iff setdefault stored (and returned) it.
+        stored = list(map(dict.setdefault, entries, targets_list, weights_list))
+        is_new = np.fromiter(
+            map(is_, stored, weights_list), dtype=bool, count=len(stored)
         )
-        self._record_delta(
-            entries, owners, targets, targets_list, merged_weights, is_dup
-        )
-        deque(map(dict.__setitem__, entries, targets_list, merged_weights.tolist()), maxlen=0)
+        changed = (np.array(stored, dtype=np.float64) != merged_weights) & ~is_new
+        if changed.any():
+            flags = changed.tolist()
+            deque(
+                map(
+                    dict.__setitem__,
+                    compress(entries, flags),
+                    compress(targets_list, flags),
+                    compress(weights_list, flags),
+                ),
+                maxlen=0,
+            )
+        for kind, picked in ((GraphDelta.APPEND, is_new), (GraphDelta.SET, changed)):
+            if picked.any():
+                self._journal_out.append(_edits(
+                    kind, owners[picked], targets[picked], merged_weights[picked]
+                ))
         new_deg = np.fromiter(
             map(len, vert_entries), dtype=np.int64, count=len(vert_entries)
         )
@@ -339,7 +375,7 @@ class AdjacencyListGraph(DynamicGraph):
             length_before=length_before,
             new_edges=new_edges,
         )
-        return stats, targets[~is_dup] if derive_in else None
+        return stats, targets[is_new] if derive_in else None
 
     def _apply_direction_fast(
         self,
@@ -428,42 +464,6 @@ class AdjacencyListGraph(DynamicGraph):
             new_edges=new_edges,
         )
 
-    def _record_delta(
-        self,
-        entries: list[dict[int, float]],
-        owners: np.ndarray,
-        targets: np.ndarray,
-        targets_list: list[int],
-        merged_weights: np.ndarray,
-        is_dup: np.ndarray,
-    ) -> None:
-        """Journal this merge: new edges append, weight changes go stale.
-
-        Must run *before* the weights are merged in, so duplicate edges can
-        be compared against their pre-batch weight — a refresh that keeps
-        the weight (the common case for weight-stable streams) leaves the
-        cached CSR slice valid.
-        """
-        is_new = ~is_dup
-        if is_new.any():
-            self._journal_out.append(
-                (owners[is_new], targets[is_new], merged_weights[is_new])
-            )
-        if is_dup.any():
-            flags = is_dup.tolist()
-            old_weights = np.fromiter(
-                map(
-                    dict.__getitem__,
-                    compress(entries, flags),
-                    compress(targets_list, flags),
-                ),
-                dtype=np.float64,
-                count=int(is_dup.sum()),
-            )
-            changed = old_weights != merged_weights[is_dup]
-            if changed.any():
-                self._stale_out.update(owners[is_dup][changed].tolist())
-
     def _pop_edges(
         self,
         adjacency: dict[int, dict[int, float]],
@@ -476,8 +476,8 @@ class AdjacencyListGraph(DynamicGraph):
 
         One C-level ``dict.pop`` pass in batch order: a pair repeated in
         the batch pops once, and an absent edge or never-seen vertex is a
-        no-op.  Degrees drop once per hit; while tracking, the out-owners
-        of hits go stale (``journaled`` marks the out-direction).
+        no-op.  Degrees drop once per hit; while tracking, the hits are
+        journaled as deletes (``journaled`` marks the out-direction).
 
         Returns:
             The ``(keys, values)`` of the entries that existed.
@@ -487,11 +487,14 @@ class AdjacencyListGraph(DynamicGraph):
         hit = np.fromiter(
             map(is_not, popped, repeat(_MISSING)), dtype=bool, count=len(keys)
         )
-        hit_keys = keys[hit]
+        hit_keys, hit_values = keys[hit], values[hit]
         np.subtract.at(degrees, hit_keys, 1)
-        if journaled and self._track:
-            self._stale_out.update(hit_keys.tolist())
-        return hit_keys, values[hit]
+        if journaled and self._track and len(hit_keys):
+            self._journal_out.append(_edits(
+                GraphDelta.DELETE, hit_keys, hit_values,
+                np.zeros(len(hit_keys), dtype=np.float64),
+            ))
+        return hit_keys, hit_values
 
     def _delete_edges(self, src: np.ndarray, dst: np.ndarray) -> int:
         """Remove listed edges (both directions); returns edges removed.

@@ -35,38 +35,45 @@ def read_only(array: np.ndarray) -> np.ndarray:
 
 @dataclass
 class GraphDelta:
-    """Changes to the out-adjacency since the last snapshot.
+    """The out-adjacency's edits since the last snapshot, in order.
 
     Recorded by structures with delta tracking enabled (see
-    :meth:`DynamicGraph.consume_delta`) so ``DeltaSnapshotter`` can patch a
-    cached CSR snapshot without re-reading unchanged adjacencies.
+    :meth:`DynamicGraph.consume_delta`) so ``DeltaSnapshotter`` can splice
+    them into a cached CSR snapshot without re-reading any adjacency.
+    Each batch journals, in this order: the pairs its inserts added
+    (:attr:`APPEND`, each owner's in ascending target order, which is the
+    order they enter the owner's dict), the existing pairs whose stored
+    weight it changed (:attr:`SET`), and the pairs its deletes removed
+    (:attr:`DELETE`).
 
     Attributes:
-        owners/targets/weights: newly appended edges in application order
-            (each new edge lands at the end of its owner's adjacency, so a
-            stable group-by-owner reproduces dict insertion order exactly).
-        stale: vertices whose existing slice cannot be patched by appending
-            — an existing edge's weight changed or an edge was deleted —
-            and must be re-read from the structure.
+        owners/targets: the edited pair of each edit.
+        weights: the weight an append or set stored (unused for a delete).
+        kinds: each edit's kind, an ``int8`` of :attr:`APPEND`,
+            :attr:`SET` or :attr:`DELETE`.
     """
+
+    APPEND = 0
+    SET = 1
+    DELETE = 2
 
     owners: np.ndarray
     targets: np.ndarray
     weights: np.ndarray
-    stale: set[int]
+    kinds: np.ndarray
 
     @classmethod
     def from_journal(
-        cls,
-        journal: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
-        stale: set[int],
+        cls, journal: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]
     ) -> "GraphDelta":
-        """Concatenate per-batch ``(owners, targets, weights)`` appends."""
+        """Concatenate ``(owners, targets, weights, kinds)`` journal entries."""
         if not journal:
             none = np.empty(0, dtype=np.int64)
-            return cls(none, none.copy(), np.empty(0, dtype=np.float64), stale)
-        owners, targets, weights = (np.concatenate(part) for part in zip(*journal))
-        return cls(owners, targets, weights, stale)
+            return cls(
+                none, none.copy(), np.empty(0, dtype=np.float64),
+                np.empty(0, dtype=np.int8),
+            )
+        return cls(*(np.concatenate(part) for part in zip(*journal)))
 
 
 @dataclass(frozen=True)
@@ -241,11 +248,6 @@ class DynamicGraph(abc.ABC):
     @abc.abstractmethod
     def vertices_with_edges(self) -> list[int]:
         """Sorted vertices that have ever had an incident edge (read-only)."""
-
-    @abc.abstractmethod
-    def touched_count(self) -> int:
-        """Number of vertices with at least one incident edge ever (sizes
-        rebuild-vs-patch decisions without materializing the vertex list)."""
 
     @abc.abstractmethod
     def notify_external_mutation(self) -> None:

@@ -67,10 +67,9 @@ class ReferenceAdjacencyListGraph(AdjacencyListGraph):
             new_edges[i] = len(entry) - before
         degrees[verts] += new_edges
         if journaled and self._track:
-            # The reference loop does not journal appends; marking every
-            # merged vertex stale keeps delta snapshots correct (they fall
-            # back to re-reading those vertices, or to a full rebuild).
-            self._stale_out.update(verts.tolist())
+            # The reference loop does not journal its merges; poisoning the
+            # journal makes the next delta snapshot a full rebuild.
+            self._delta_invalid = True
         stats = DirectionStats(
             vertices=verts,
             batch_degree=counts,

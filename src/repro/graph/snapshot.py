@@ -10,22 +10,20 @@ Two materialization paths exist:
 
 * :func:`take_snapshot` — the reference full rebuild, walking every vertex
   with edges;
-* :class:`DeltaSnapshotter` — caches the previous snapshot and patches only
-  the CSR slices of vertices dirtied since (the graph journals its
-  out-direction), falling back to a full rebuild when the dirty fraction
-  makes patching a loss.  Both paths produce bit-identical arrays
+* :class:`DeltaSnapshotter` — caches the previous snapshot and splices in
+  the out-direction edits the graph journaled since, without reading any
+  adjacency.  Both paths produce bit-identical arrays
   (``tests/test_perf_parity.py``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
 from ..telemetry.core import as_telemetry
-from .base import DynamicGraph
+from .base import DynamicGraph, GraphDelta
 
 __all__ = ["CSRSnapshot", "take_snapshot", "DeltaSnapshotter"]
 
@@ -83,98 +81,110 @@ def take_snapshot(graph: DynamicGraph) -> CSRSnapshot:
     return CSRSnapshot(num_vertices, offsets, neighbors, weights)
 
 
-def _patch_csr(
-    prev: CSRSnapshot,
-    adjacency_of,  # callable: vertex -> dict[int, float]
-    delta,  # GraphDelta
-) -> CSRSnapshot:
-    """Rebuild a snapshot from the previous one plus an out-direction delta.
+def _empty_snapshot(num_vertices: int) -> CSRSnapshot:
+    """The snapshot of a graph without edges, as :func:`take_snapshot` makes it."""
+    return CSRSnapshot(
+        num_vertices,
+        np.zeros(num_vertices + 1, dtype=np.int64),
+        np.empty(0, dtype=np.int64),
+        np.empty(0, dtype=np.float64),
+    )
 
-    Unchanged slices are gathered from the previous arrays with one
-    vectorized indexed copy; appended edges (the journal) are scattered onto
-    each owner's slice tail in application order; only *stale* vertices
-    (weight changes, deletions) have their adjacency dicts re-read.  The
-    result is bit-identical to a full rebuild because appends reproduce dict
-    insertion order and both paths write entries in dict order.
+
+def _slots(
+    prev: CSRSnapshot, pair_keys: np.ndarray, pair_owners: np.ndarray
+) -> np.ndarray:
+    """The positions in ``prev`` of pairs it holds.
+
+    ``pair_keys`` are the pairs' ascending ``owner * V + target`` keys and
+    ``pair_owners`` their owners.  Only those owners' slices are read.
     """
-    num_vertices = prev.num_vertices
-    offsets, neighbors, weights = prev.out_offsets, prev.out_targets, prev.out_weights
-    app_owner, app_target, app_weight = delta.owners, delta.targets, delta.weights
-    stale = delta.stale
-    stale_mask = None
-    entries: list[dict[int, float]] = []
-    stale_arr = np.empty(0, dtype=np.int64)
-    if stale:
-        stale_arr = np.fromiter(stale, dtype=np.int64, count=len(stale))
-        stale_arr.sort()
-        stale_mask = np.zeros(num_vertices, dtype=bool)
-        stale_mask[stale_arr] = True
-        entries = [adjacency_of(v) for v in stale_arr.tolist()]
-        keep = ~stale_mask[app_owner]
-        app_owner = app_owner[keep]
-        app_target = app_target[keep]
-        app_weight = app_weight[keep]
-    # Stable group-by-owner keeps each owner's appends in application order,
-    # i.e. exactly the dict insertion order a full rebuild would walk.
-    order = np.argsort(app_owner, kind="stable")
-    app_owner = app_owner[order]
-    app_target = app_target[order]
-    app_weight = app_weight[order]
-    old_degrees = np.diff(offsets)
-    degrees = old_degrees.copy()
-    if len(app_owner):
-        app_verts, app_counts = np.unique(app_owner, return_counts=True)
-        degrees[app_verts] += app_counts
-    if stale:
-        degrees[stale_arr] = np.fromiter(
-            map(len, entries), dtype=np.int64, count=len(entries)
-        )
-    new_offsets = np.zeros(num_vertices + 1, dtype=np.int64)
-    np.cumsum(degrees, out=new_offsets[1:])
-    total = int(new_offsets[-1])
-    # Map every new position to its source position in the old arrays; fresh
-    # positions (appended tails, stale slices) get overwritten below, so
-    # their out-of-range source indices are clamped to 0 first.
-    owner = np.repeat(np.arange(num_vertices, dtype=np.int64), degrees)
-    positions = np.arange(total, dtype=np.int64)
-    src_idx = positions + (offsets[:-1] - new_offsets[:-1])[owner]
-    fresh = positions - new_offsets[:-1][owner] >= old_degrees[owner]
-    if stale_mask is not None:
-        fresh |= stale_mask[owner]
-    src_idx[fresh] = 0
-    if len(neighbors) == 0:
-        new_neighbors = np.empty(total, dtype=np.int64)
-        new_weights = np.empty(total, dtype=np.float64)
-    else:
-        new_neighbors = neighbors[src_idx]
-        new_weights = weights[src_idx]
-    if len(app_owner):
-        seg_starts = np.cumsum(app_counts) - app_counts
-        rank = np.arange(len(app_owner), dtype=np.int64) - np.repeat(seg_starts, app_counts)
-        pos = new_offsets[app_owner] + old_degrees[app_owner] + rank
-        new_neighbors[pos] = app_target
-        new_weights[pos] = app_weight
-    if stale:
-        stale_pos = stale_mask[owner]
-        new_neighbors[stale_pos] = list(
-            chain.from_iterable(entry.keys() for entry in entries)
-        )
-        new_weights[stale_pos] = list(
-            chain.from_iterable(entry.values() for entry in entries)
-        )
-    return CSRSnapshot(num_vertices, new_offsets, new_neighbors, new_weights)
+    if not len(pair_keys):
+        return np.empty(0, dtype=np.int64)
+    offsets, nv = prev.out_offsets, prev.num_vertices
+    owners = pair_owners[np.append(True, pair_owners[1:] != pair_owners[:-1])]
+    lo = offsets[owners]
+    counts = offsets[owners + 1] - lo
+    ends = np.cumsum(counts)
+    positions = np.repeat(lo - (ends - counts), counts) + np.arange(ends[-1])
+    slot_keys = np.repeat(owners, counts) * nv + prev.out_targets[positions]
+    order = np.argsort(slot_keys)
+    return positions[order[np.searchsorted(slot_keys[order], pair_keys)]]
+
+
+def _splice(prev: CSRSnapshot, delta: GraphDelta) -> CSRSnapshot:
+    """``prev`` with the edits of ``delta`` spliced in.
+
+    Each edited (owner, target) pair resolves from its edits, in order:
+
+    * it was in ``prev`` iff its first edit is a set or a delete.  Such a
+      pair is cut from its slot if any delete hit it; otherwise it keeps
+      its slot and takes the weight of its last set;
+    * a pair whose last edit is not a delete and that has an append goes
+      to its owner's tail, after the owner's remaining slots.  Tails are
+      ordered by each pair's last append and take the weight of its last
+      edit.
+
+    These are the dict's own rules — a pop closes the gap and keeps the
+    order of the rest, a ``__setitem__`` on a present key keeps its slot,
+    and a re-inserted key goes to the end — so the result is bit-identical
+    to :func:`take_snapshot` of the graph.  No adjacency is read: one
+    ``np.delete`` cuts, weights are set in place, and one ``np.insert``
+    adds every tail.
+    """
+    if not len(delta.kinds):
+        return prev
+    nv = prev.num_vertices
+    offsets = prev.out_offsets
+    keys = delta.owners * nv + delta.targets
+    # Stable: each pair's edits stay in journal order.
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    starts = np.flatnonzero(np.append(True, sorted_keys[1:] != sorted_keys[:-1]))
+    first = order[starts]
+    last = order[np.append(starts[1:], len(order)) - 1]
+    kinds = delta.kinds[order]
+    deleted = np.logical_or.reduceat(kinds == GraphDelta.DELETE, starts)
+    last_append = np.maximum.reduceat(
+        np.where(kinds == GraphDelta.APPEND, order, -1), starts
+    )
+    owners = delta.owners[first]
+    held = delta.kinds[first] != GraphDelta.APPEND
+    slots = _slots(prev, sorted_keys[starts][held], owners[held])
+    cut_held = deleted[held]
+    cut = np.sort(slots[cut_held])
+    targets = np.delete(prev.out_targets, cut)
+    weights = np.delete(prev.out_weights, cut)
+    kept = slots[~cut_held]
+    weights[kept - np.searchsorted(cut, kept)] = delta.weights[last[held & ~deleted]]
+    tail = (delta.kinds[last] != GraphDelta.DELETE) & (last_append >= 0)
+    tail_owners = owners[tail]
+    ranked = np.lexsort((last_append[tail], tail_owners))
+    tail_owners = tail_owners[ranked]
+    ends = offsets[tail_owners + 1]
+    at = ends - np.searchsorted(cut, ends)
+    targets = np.insert(targets, at, delta.targets[first[tail][ranked]])
+    weights = np.insert(weights, at, delta.weights[last[tail][ranked]])
+    change = np.bincount(tail_owners, minlength=nv) - np.bincount(
+        owners[held][cut_held], minlength=nv
+    )
+    new_offsets = offsets.copy()
+    new_offsets[1:] += np.cumsum(change)
+    return CSRSnapshot(nv, new_offsets, targets, weights)
 
 
 class DeltaSnapshotter:
     """Incremental CSR snapshot producer for one dynamic graph.
 
     Enables delta tracking on the graph, caches the last
-    :class:`CSRSnapshot`, and on the next request patches the cached arrays
-    with the recorded out-direction :class:`~repro.graph.base.GraphDelta`
-    (appended edges scatter in; stale vertices re-read).  Falls back to
-    :func:`take_snapshot` when no previous snapshot exists, the graph does
-    not track deltas, or the stale vertices exceed ``rebuild_fraction`` of
-    the touched vertices (re-reading ~everything is slower than rebuilding).
+    :class:`CSRSnapshot`, and on the next request splices the recorded
+    out-direction :class:`~repro.graph.base.GraphDelta` into the cached
+    arrays.  Attached to a graph without edges, it starts from the empty
+    CSR, so even the first snapshot is a splice.  It falls back to
+    :func:`take_snapshot` when no previous snapshot exists (it attached to
+    a graph that already had edges, or :meth:`invalidate` dropped it) or
+    the graph cannot vouch for its journal (``consume_delta()`` returns
+    ``None``).
 
     Consuming the delta clears it on the graph, so attach at most one
     ``DeltaSnapshotter`` per graph and route all snapshot requests through
@@ -183,23 +193,19 @@ class DeltaSnapshotter:
 
     Args:
         graph: the dynamic graph to snapshot.
-        rebuild_fraction: stale-to-touched vertex ratio above which a full
-            rebuild is cheaper than patching.
         telemetry: optional telemetry backend; rebuild/patch counters and
             the ``snapshot.materialize`` span land there.
     """
 
-    def __init__(
-        self,
-        graph: DynamicGraph,
-        rebuild_fraction: float = 0.25,
-        telemetry=None,
-    ):
+    def __init__(self, graph: DynamicGraph, telemetry=None):
         self.graph = graph
-        self.rebuild_fraction = rebuild_fraction
         self.telemetry = as_telemetry(telemetry)
+        # The journal starts empty here, so on a graph without edges it
+        # will hold every edge the next snapshot has.
         graph.track_deltas(True)
-        self._prev: CSRSnapshot | None = None
+        self._prev: CSRSnapshot | None = (
+            _empty_snapshot(graph.num_vertices) if graph.num_edges == 0 else None
+        )
         #: Diagnostics: how many snapshots took each path.
         self.full_rebuilds = 0
         self.delta_patches = 0
@@ -214,22 +220,13 @@ class DeltaSnapshotter:
             return self._snapshot()
 
     def _snapshot(self) -> CSRSnapshot:
-        graph = self.graph
-        delta = graph.consume_delta()
-        if delta is not None and self._prev is None:
-            # First request: the journal predates any cached snapshot.
-            delta = None
-        if delta is not None:
-            touched = graph.touched_count()
-            budget = self.rebuild_fraction * (touched or graph.num_vertices)
-            if len(delta.stale) > budget:
-                delta = None
-        if delta is None:
-            snap = take_snapshot(graph)
+        delta = self.graph.consume_delta()
+        if delta is None or self._prev is None:
+            snap = take_snapshot(self.graph)
             self.full_rebuilds += 1
             self.telemetry.count("snapshot.full_rebuilds")
         else:
-            snap = _patch_csr(self._prev, graph.out_neighbors, delta)
+            snap = _splice(self._prev, delta)
             self.delta_patches += 1
             self.telemetry.count("snapshot.delta_patches")
         self._prev = snap

@@ -41,11 +41,14 @@ def test_summary_counts_wins_in_each_metrics_direction():
     base = summary["metrics"]["edges_per_s"]["base"]
     assert base["median"] == 100
     assert base["q1"] == pytest.approx(97.5) and base["q3"] == pytest.approx(102.5)
+    # A failed run that printed no check indicts the program.
     assert summary["change"] == {
-        "correct_runs": 3, "failed": 10, "attempted": 40, "failed_checks": [],
+        "correct_runs": 3, "failed": 10, "attempted": 40,
+        "failed_runs": {"host": 0, "program": 1}, "failed_checks": [],
     }
     assert summary["base"] == {
-        "correct_runs": 4, "failed": 0, "attempted": 40, "failed_checks": [],
+        "correct_runs": 4, "failed": 0, "attempted": 40,
+        "failed_runs": {"host": 0, "program": 0}, "failed_checks": [],
     }
 
 
@@ -200,15 +203,55 @@ def test_failed_checks_print_under_their_pair_and_reach_the_summary(
     assert bench_ab.main(["--base", "HEAD", "--workload", "serve-fb",
                           "--pairs", "2", "--seed", "7"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
-    at = lines.index("  CHECK FAILED: 32 degree answers wrong")
+    at = lines.index("  CHECK FAILED: 32 degree answers wrong [program]")
     assert lines[at - 1].startswith("pair 2/2 seed 8 change: correct=False")
-    assert "  seed 8: CHECK FAILED: 32 degree answers wrong" in lines
+    assert "  seed 8: CHECK FAILED: 32 degree answers wrong [program]" in lines
     summary = bench_ab.json.loads(lines[-1])
     assert summary["change"]["failed_checks"] == [
         {"seed": 8, "check": "32 degree answers wrong"},
     ]
     assert summary["base"]["failed_checks"] == []
     assert "server_cpu_s" not in summary  # untraced runs do not print it
+
+
+def test_host_lateness_and_program_checks_are_told_apart(monkeypatch, capsys):
+    """A run that failed only the generator's lateness check failed on the
+    host; one that failed any other check failed in the program."""
+    spec = bench_ab.json.loads((bench_ab.ROOT / "BENCHMARK.json").read_text())
+    late = "generator fell behind: 3 sends over 50 ms late"
+    checks = {
+        ("base", 1): [late],
+        ("change", 2): [late, "32 degree answers wrong"],
+        ("change", 3): [late],
+        ("change", 4): ["4 submissions never became visible"],
+    }
+
+    def fake_run(tree, workload, seed, seconds, trace, pycache):
+        side = "change" if tree == bench_ab.ROOT else "base"
+        lines = checks.get((side, seed), [])
+        run = {
+            "correct": not lines, "attempted": 10, "failed": len(lines),
+            "metrics": {m["name"]: {"value": 1.0} for m in spec["end_to_end"]},
+        }
+        return {**bench_ab.parse_run(
+            _stdout(run, *(f"CHECK FAILED: {line}" for line in lines))
+        ), "seed": seed}
+
+    monkeypatch.setattr(bench_ab, "export", lambda rev, dest: None)
+    monkeypatch.setattr(bench_ab, "run_once", fake_run)
+    assert bench_ab.main(["--base", "HEAD", "--workload", "serve-fb",
+                          "--pairs", "4", "--seed", "1"]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    summary = bench_ab.json.loads(lines[-1])
+    assert summary["base"]["failed_runs"] == {"host": 1, "program": 0}
+    assert summary["change"]["failed_runs"] == {"host": 1, "program": 2}
+    assert f"  seed 1: CHECK FAILED: {late} [host]" in lines
+    assert f"  seed 2: CHECK FAILED: {late} [host]" in lines
+    assert "  seed 2: CHECK FAILED: 32 degree answers wrong [program]" in lines
+    assert any(line.startswith("base: 3/4 runs correct") and
+               line.endswith("failed runs: 1 host, 0 program") for line in lines)
+    assert any(line.startswith("change: 1/4 runs correct") and
+               line.endswith("failed runs: 1 host, 2 program") for line in lines)
 
 
 def test_server_cpu_is_a_row_without_a_verdict(capsys):

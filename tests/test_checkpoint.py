@@ -488,3 +488,53 @@ def test_cli_checkpoint_resume(tmp_path, capsys):
         line for line in second.splitlines() if not line.startswith("resuming")
     )
     assert body.strip() == first.strip()
+
+
+def test_pr_static_checkpoint_with_a_stale_journal_resumes_bit_identically(
+    tmp_path,
+):
+    """A ``pr_static`` checkpoint written before the ordered edit journal
+    resumes to the uninterrupted run's exact ``RunMetrics``.  Its graph's
+    pending journal holds an OCA-deferred batch as appends plus a set of
+    stale owners (the batch re-weights and deletes edges), and its
+    snapshotter carries the retired ``rebuild_fraction``.  The stale owners
+    make the first snapshot after the resume a full rebuild; the batches
+    after it journal edits and splice."""
+    import gzip
+    import importlib.util
+    from pathlib import Path
+
+    import numpy as np
+
+    from repro.graph.snapshot import take_snapshot
+
+    golden = Path(__file__).resolve().parent / "golden"
+    spec = importlib.util.spec_from_file_location(
+        "capture_pr_static_checkpoint", golden / "capture_pr_static_checkpoint.py"
+    )
+    capture = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(capture)
+    path = tmp_path / "old.ckpt"
+    path.write_bytes(gzip.decompress(capture.GOLDEN_PATH.read_bytes()))
+    batches = capture.fixture_batches()
+    resumed = capture.fixture_pipeline()
+    PipelineCheckpoint.load(path).restore(resumed)
+    assert resumed.cursor == capture.CAPTURED_BATCHES
+    assert resumed.metrics.batches[-1].deferred
+    snapper = resumed.compute.snapshotter
+    assert hasattr(snapper, "rebuild_fraction")
+    rebuilds, patches = snapper.full_rebuilds, snapper.delta_patches
+    capture.feed(resumed, batches)
+    rounds = sum(
+        not b.deferred for b in resumed.metrics.batches[capture.CAPTURED_BATCHES:]
+    )
+    assert rounds > 1
+    assert snapper.full_rebuilds == rebuilds + 1
+    assert snapper.delta_patches == patches + rounds - 1
+    last = snapper.snapshot()
+    want = take_snapshot(resumed.graph)
+    for name in ("out_offsets", "out_targets", "out_weights"):
+        assert np.array_equal(getattr(last, name), getattr(want, name)), name
+    fresh = capture.fixture_pipeline()
+    capture.feed(fresh, batches)
+    assert resumed.metrics == fresh.metrics

@@ -18,10 +18,12 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import make_batch
 from repro.datasets.profiles import get_dataset
+from repro.datasets.stream import Batch
 from repro.datasets.stream_cache import cached_batches, cache_stats, clear_cache
 from repro.errors import ConfigurationError
 from repro.graph import adjacency_list
 from repro.graph.adjacency_list import AdjacencyListGraph
+from repro.graph.base import GraphDelta
 from repro.graph.reference import ReferenceAdjacencyListGraph
 from repro.graph.snapshot import CSRSnapshot, DeltaSnapshotter, take_snapshot
 from repro.pipeline.config import RunConfig
@@ -45,6 +47,22 @@ batch_strategy = st.lists(
 sequence_strategy = st.lists(batch_strategy, min_size=1, max_size=6)
 
 
+def _small_universe_sequence(universe):
+    """Streams like ``sequence_strategy`` on vertices ``[0, universe)``."""
+    edge = st.tuples(
+        st.integers(0, universe - 1), st.integers(0, universe - 1),
+        st.integers(0, 2), st.booleans(),
+    )
+    return st.lists(st.lists(edge, min_size=1, max_size=40), min_size=1, max_size=6)
+
+
+#: Streams on all of N_VERTICES, or on 4 of them, where nearly every batch
+#: re-weights, deletes and re-inserts pairs the previous ones stored.
+snapshot_sequence_strategy = st.one_of(
+    sequence_strategy, _small_universe_sequence(4)
+)
+
+
 def _to_batch(edge_list, batch_id):
     src = [e[0] for e in edge_list]
     dst = [e[1] for e in edge_list]
@@ -64,33 +82,105 @@ def _assert_snapshots_identical(a: CSRSnapshot, b: CSRSnapshot):
 # -- delta snapshots vs full rebuilds -----------------------------------------
 
 
-@given(sequence_strategy)
+@given(snapshot_sequence_strategy, st.booleans())
 @settings(max_examples=50, deadline=None)
-def test_delta_snapshot_matches_full_rebuild(sequence):
+def test_delta_snapshot_matches_full_rebuild(sequence, keep_in_lists):
     """Patched snapshots are bit-identical to full rebuilds after every batch
-    of a randomized insert/delete/duplicate-heavy stream."""
-    graph = AdjacencyListGraph(N_VERTICES)
-    # rebuild_fraction=1.0 forces the patch path whenever a previous
-    # snapshot exists, so the delta machinery is actually exercised.
-    snapper = DeltaSnapshotter(graph, rebuild_fraction=1.0)
+    of a randomized insert/delete/duplicate-heavy stream, on graphs with
+    and without in-lists.  The snapshotter attaches to an empty graph, so
+    every snapshot, the first included, is a splice."""
+    graph = AdjacencyListGraph(N_VERTICES, keep_in_lists=keep_in_lists)
+    snapper = DeltaSnapshotter(graph)
     for batch_id, edge_list in enumerate(sequence):
         graph.apply_batch(_to_batch(edge_list, batch_id))
         _assert_snapshots_identical(snapper.snapshot(), take_snapshot(graph))
-    if len(sequence) > 1:
-        assert snapper.delta_patches >= len(sequence) - 1
+    assert (snapper.full_rebuilds, snapper.delta_patches) == (0, len(sequence))
 
 
-@given(sequence_strategy)
+@given(snapshot_sequence_strategy, st.booleans(), st.data())
 @settings(max_examples=25, deadline=None)
-def test_delta_snapshot_with_skipped_batches(sequence):
-    """Journals accumulated over several batches patch correctly too."""
-    graph = AdjacencyListGraph(N_VERTICES)
-    snapper = DeltaSnapshotter(graph, rebuild_fraction=1.0)
+def test_delta_snapshot_with_skipped_batches(sequence, keep_in_lists, data):
+    """Journals accumulated over several batches patch correctly too: the
+    snapshots fall after drawn batches, so one window spans up to six."""
+    graph = AdjacencyListGraph(N_VERTICES, keep_in_lists=keep_in_lists)
+    snapper = DeltaSnapshotter(graph)
+    taken = data.draw(st.lists(
+        st.booleans(), min_size=len(sequence), max_size=len(sequence)
+    ))
     for batch_id, edge_list in enumerate(sequence):
         graph.apply_batch(_to_batch(edge_list, batch_id))
-        if batch_id % 2 == 1:  # snapshot every other batch
+        if taken[batch_id]:
             _assert_snapshots_identical(snapper.snapshot(), take_snapshot(graph))
     _assert_snapshots_identical(snapper.snapshot(), take_snapshot(graph))
+    assert snapper.full_rebuilds == 0
+
+
+#: Per case, four batches of (src, dst, weight, is_delete) edges.
+SPLICE_CASES = {
+    "appended-and-deleted-in-one-batch": [
+        [(1, 2, 1.0, False), (1, 3, 1.0, False)],
+        [(1, 4, 2.0, False), (1, 4, 1.0, True), (1, 2, 1.0, True)],
+        [(1, 5, 1.0, False)],
+        [(1, 4, 3.0, False), (1, 5, 1.0, True)],
+    ],
+    "deleted-then-re-inserted-later": [
+        [(1, 2, 1.0, False), (1, 3, 1.0, False), (1, 5, 1.0, False)],
+        [(1, 2, 1.0, True), (0, 1, 1.0, False)],
+        [(1, 6, 1.0, False)],
+        [(1, 2, 5.0, False), (1, 3, 1.0, True)],
+    ],
+    "appended-then-re-weighted": [
+        [(1, 3, 1.0, False)],
+        [(1, 2, 1.0, False), (1, 4, 1.0, False)],
+        [(1, 2, 3.0, False), (1, 4, 1.0, False)],
+        [(1, 2, 2.0, False), (1, 3, 4.0, False)],
+    ],
+    "re-weighted-then-deleted": [
+        [(1, 2, 1.0, False), (1, 3, 1.0, False)],
+        [(1, 2, 4.0, False)],
+        [(1, 2, 1.0, True), (1, 3, 2.0, False)],
+        [(1, 2, 7.0, False), (1, 3, 1.0, True)],
+    ],
+}
+
+
+@pytest.mark.parametrize("window", [1, 2, 3, 4])
+@pytest.mark.parametrize("case", SPLICE_CASES)
+@pytest.mark.parametrize("keep_in_lists", [True, False])
+def test_splice_follows_a_pairs_edits_within_and_across_windows(
+    case, window, keep_in_lists,
+):
+    """A pair's edits resolve alike whether one window holds them or they
+    span several batches: snapshots after every ``window`` batches equal
+    full rebuilds."""
+    graph = AdjacencyListGraph(N_VERTICES, keep_in_lists=keep_in_lists)
+    snapper = DeltaSnapshotter(graph)
+    for batch_id, edges in enumerate(SPLICE_CASES[case]):
+        src, dst, weight, deletes = zip(*edges)
+        graph.apply_batch(make_batch(
+            src, dst, weight, batch_id=batch_id, is_delete=deletes
+        ))
+        if (batch_id + 1) % window == 0:
+            _assert_snapshots_identical(snapper.snapshot(), take_snapshot(graph))
+    _assert_snapshots_identical(snapper.snapshot(), take_snapshot(graph))
+    assert snapper.full_rebuilds == 0
+
+
+@pytest.mark.parametrize("keep_in_lists", [True, False])
+def test_integer_weights_splice_like_float_ones(keep_in_lists):
+    """A batch may carry integer weights, whose small values Python caches
+    as shared objects; the tracked merge still tells a re-inserted pair
+    from a new one, in its journal and in the derived in-degrees."""
+    graph = AdjacencyListGraph(N_VERTICES, keep_in_lists=keep_in_lists)
+    snapper = DeltaSnapshotter(graph)
+    for batch_id in range(3):
+        graph.apply_batch(Batch(
+            batch_id, np.array([1, 1, 2]), np.array([2, 3, 1]),
+            np.array([1, 2 + batch_id, 1]),
+        ))
+        _assert_snapshots_identical(snapper.snapshot(), take_snapshot(graph))
+    assert graph.num_edges == 3
+    assert graph.in_degrees()[[1, 2, 3]].tolist() == [1, 1, 1]
 
 
 def test_checkpoints_with_in_direction_state_still_resume():
@@ -99,7 +189,7 @@ def test_checkpoints_with_in_direction_state_still_resume():
     extra state is ignored, and the pending out-journal still patches
     bit-identically."""
     graph = AdjacencyListGraph(N_VERTICES)
-    snapper = DeltaSnapshotter(graph, rebuild_fraction=1.0)
+    snapper = DeltaSnapshotter(graph)
     graph.apply_batch(make_batch([0, 0, 3, 2], [1, 2, 1, 0]))
     snapper.snapshot()
     graph.apply_batch(make_batch(
@@ -116,7 +206,8 @@ def test_checkpoints_with_in_direction_state_still_resume():
         [4, 0], [0, 2], batch_id=2, is_delete=[False, True]
     ))
     _assert_snapshots_identical(restored.snapshot(), take_snapshot(restored.graph))
-    assert restored.delta_patches == 1
+    # Both snapshots spliced: the first from the empty CSR.
+    assert (restored.full_rebuilds, restored.delta_patches) == (0, 2)
 
 
 # -- vectorized ingest vs the seed loop ---------------------------------------
@@ -171,7 +262,7 @@ def test_vectorized_ingest_matches_reference(sequence, tracked, keep_in_lists):
         assert stats_vec.deleted_edges == stats_ref.deleted_edges
         _assert_degrees_match_views(vec)
         assert vec.in_degrees().tolist() == ref.in_degrees().tolist()
-        assert vec.touched_count() == ref.touched_count()
+        assert vec.vertices_with_edges() == ref.vertices_with_edges()
     assert vec.num_edges == ref.num_edges
     out_vec, in_vec = vec.adjacency_views()
     out_ref, in_ref = ref.adjacency_views()
@@ -233,7 +324,9 @@ def test_duplicate_delete_in_one_batch_removes_once(cls, tracked):
     assert _items(out_view, 1) == [(3, 2.0)]
     assert _items(in_view, 2) == []
     if tracked:
-        assert graph.consume_delta().stale == {1}
+        delta = graph.consume_delta()
+        assert delta.kinds.tolist() == [GraphDelta.DELETE]
+        assert (delta.owners.tolist(), delta.targets.tolist()) == ([1], [2])
 
 
 @pytest.mark.parametrize("cls, tracked", DELETE_GRAPHS)
@@ -249,7 +342,7 @@ def test_deleting_absent_edges_and_unseen_vertices_is_a_no_op(cls, tracked):
     assert 7 not in out_view and 8 not in in_view
     assert graph.vertices_with_edges() == [1, 2]
     if tracked:
-        assert graph.consume_delta().stale == set()
+        assert len(graph.consume_delta().kinds) == 0
 
 
 @pytest.mark.parametrize("cls, tracked", DELETE_GRAPHS)

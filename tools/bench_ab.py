@@ -15,10 +15,15 @@ directory, so neither side starts from modules compiled before (the
 working tree's ``__pycache__`` would otherwise shorten its ``setup_s``).
 
 Prints every run as it finishes, with the ``CHECK FAILED`` lines of a run
-that was not correct under its line.  Then, per end-to-end metric of
-BENCHMARK.json, each side's median and quartiles, the number of pairs the
-working tree won and a verdict, and per side the correct runs, failed
-operations and failed checks (with their seeds).  The verdicts:
+that was not correct under its line.  Each line is tagged ``[host]`` when
+it reports the load generator falling behind its schedule (the host was
+too busy to send on time, whatever the program does) and ``[program]``
+otherwise.  Then, per end-to-end metric of BENCHMARK.json, each side's
+median and quartiles, the number of pairs the working tree won and a
+verdict, and per side the correct runs, failed operations, the failed runs
+by cause (``host`` when every check a run failed was the generator's
+lateness, else ``program``) and the tagged failed checks with their seeds.
+The verdicts:
 
 * ``gain``: the working tree won at least 9/10 of the pairs (ties count
   for neither side) and the medians differ by more than the base's q3-q1,
@@ -56,6 +61,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("base", "change")
 CHECK_FAILED = "CHECK FAILED: "
+#: How perfbench/serving.py's check of the load generator's lateness
+#: starts: a failure of it measures the host, not the program.
+HOST_CHECK = "generator fell behind"
 #: perfbench's traced serve runs print the server's CPU seconds per session.
 SERVER_CPU = re.compile(r"^server CPU s: untraced ([0-9.]+), traced [0-9.]+$")
 #: Fewest pairs a ``gain`` verdict rests on.
@@ -116,6 +124,26 @@ def parse_run(stdout: str) -> dict:
     }
 
 
+def cause(check: str) -> str:
+    """``host`` for a failed check of the generator's lateness, else
+    ``program``."""
+    return "host" if check.startswith(HOST_CHECK) else "program"
+
+
+def tagged(check: str) -> str:
+    """A failed check as printed: its line and its cause."""
+    return f"{CHECK_FAILED}{check} [{cause(check)}]"
+
+
+def failure_cause(run: dict) -> str | None:
+    """Why a run failed: None if it was correct, ``host`` if every check
+    it failed was the generator's lateness, else ``program``."""
+    if run["correct"]:
+        return None
+    causes = set(map(cause, run.get("checks_failed", [])))
+    return "host" if causes == {"host"} else "program"
+
+
 def quartiles(values: list[float]) -> tuple[float, float, float]:
     """(q1, median, q3) of ``values``."""
     if len(values) == 1:
@@ -174,6 +202,10 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
             "correct_runs": sum(bool(pair[side]["correct"]) for pair in pairs),
             "failed": sum(pair[side]["failed"] for pair in pairs),
             "attempted": sum(pair[side]["attempted"] for pair in pairs),
+            "failed_runs": {
+                way: sum(failure_cause(pair[side]) == way for pair in pairs)
+                for way in ("host", "program")
+            },
             "failed_checks": [
                 {"seed": pair[side].get("seed"), "check": check}
                 for pair in pairs
@@ -213,9 +245,11 @@ def report(summary: dict) -> None:
     for side in SIDES:
         s = summary[side]
         print(f"{side}: {s['correct_runs']}/{pairs} runs correct, "
-              f"{s['failed']} of {s['attempted']} operations failed")
+              f"{s['failed']} of {s['attempted']} operations failed, "
+              f"failed runs: {s['failed_runs']['host']} host, "
+              f"{s['failed_runs']['program']} program")
         for failed in s["failed_checks"]:
-            print(f"  seed {failed['seed']}: {CHECK_FAILED}{failed['check']}")
+            print(f"  seed {failed['seed']}: {tagged(failed['check'])}")
 
 
 def main(argv=None) -> int:
@@ -252,7 +286,7 @@ def main(argv=None) -> int:
                       f"correct={pair[side]['correct']} "
                       f"failed={pair[side]['failed']} {shown}", flush=True)
                 for check in pair[side].get("checks_failed", []):
-                    print(f"  {CHECK_FAILED}{check}", flush=True)
+                    print(f"  {tagged(check)}", flush=True)
             pairs.append(pair)
     summary = summarize(pairs, spec["per_layer" if args.trace else "end_to_end"])
     summary.update(base_rev=args.base, workload=args.workload, trace=args.trace,
