@@ -3,12 +3,15 @@
 Unlike the figure benchmarks (which reproduce the paper's *modeled* times),
 this one measures real seconds spent in the substrate itself:
 
-* **ingest** — vectorized ``AdjacencyListGraph.apply_batch`` vs the seed
-  per-vertex loop (``graph.reference.ReferenceAdjacencyListGraph``), on the
+* **ingest** — vectorized ``AdjacencyListGraph.apply_batch`` (segment
+  storage) vs the seed per-vertex dict loop
+  (``graph.reference.ReferenceAdjacencyListGraph``), on the
   highest-vertex-churn stream (``friendster``, ~87% unique sources per
   100K batch) where ingest dominates wall-clock;
-* **snapshot** — ``DeltaSnapshotter`` patching vs a full ``take_snapshot``
-  rebuild after every batch (``lj``, 8 batches @ 100K, the
+* **snapshot** — ``DeltaSnapshotter``'s gather of an
+  ``AdjacencyListGraph``'s stored out-segments vs ``take_snapshot``'s walk
+  over the per-vertex dicts of a ``ReferenceAdjacencyListGraph`` fed the
+  same batches, each after every batch (``lj``, 8 batches @ 100K, the
   incremental-compute regime);
 * **matrix row** — one dataset's pipeline cells end to end through the
   workload executor.
@@ -16,8 +19,8 @@ this one measures real seconds spent in the substrate itself:
 The summary lands in ``results/BENCH_substrate.json`` so successive PRs
 leave a wall-clock trajectory; ``make bench-smoke`` compares it against the
 committed baseline ``benchmarks/BENCH_substrate.json`` and fails on >20%
-regression.  Thresholds: the structural speedup floors (delta snapshots and
-vectorized ingest beat the reference paths) are always asserted; the full
+regression.  Thresholds: the structural speedup floors (gathered snapshots
+and vectorized ingest beat the reference paths) are always asserted; the full
 acceptance floors (3x / 1.5x) are asserted when ``REPRO_BENCH_ENFORCE=1``,
 so a loaded CI box doesn't flake the default run.
 """
@@ -26,6 +29,7 @@ from __future__ import annotations
 
 import json
 import os
+import statistics
 import time
 from pathlib import Path
 
@@ -43,6 +47,8 @@ SNAPSHOT_DATASET = "lj"
 BATCH_SIZE = 100_000
 NUM_BATCHES = 8
 ROUNDS = 5  # best-of to shave scheduler noise
+#: Interleaved telemetry off/full pairs; the overhead is their median ratio.
+OVERHEAD_PAIRS = 9
 
 BASELINE_PATH = Path(__file__).resolve().parent / "BENCH_substrate.json"
 
@@ -73,9 +79,12 @@ def _time_ingest_pair(batches) -> tuple[float, float]:
 
 
 def _time_snapshots(batches, delta: bool) -> float:
+    """Best-of-ROUNDS time of a snapshot after every batch: the gather of an
+    ``AdjacencyListGraph`` (``delta``), or the dict walk of the oracle."""
     best = float("inf")
     for __ in range(ROUNDS):
-        graph = AdjacencyListGraph(get_dataset(SNAPSHOT_DATASET).num_vertices)
+        graph_cls = AdjacencyListGraph if delta else ReferenceAdjacencyListGraph
+        graph = graph_cls(get_dataset(SNAPSHOT_DATASET).num_vertices)
         snapper = DeltaSnapshotter(graph) if delta else None
         elapsed = 0.0
         for batch in batches:
@@ -190,24 +199,36 @@ def _time_engine_ingest(batches, telemetry) -> float:
 
 
 def run_telemetry_overhead() -> dict:
+    """The median, over OVERHEAD_PAIRS back-to-back off/full pairs, of each
+    pair's full/off time ratio.  Each pair shares the machine's load of its
+    moment, and the pairs alternate which side runs first, so neither drift
+    nor order favours a side; the median drops a pair a load spike hit."""
     from repro.telemetry.core import Telemetry
 
     batches = _batches(SNAPSHOT_DATASET)
-    best_off = best_full = float("inf")
+    offs, fulls = [], []
     timeline_events = 0
-    # Interleave the off/full rounds so load drift biases neither side.
-    for __ in range(ROUNDS):
-        best_off = min(best_off, _time_engine_ingest(batches, None))
+    for pair in range(OVERHEAD_PAIRS):
         tel = Telemetry("full")
-        best_full = min(best_full, _time_engine_ingest(batches, tel))
+        if pair % 2:
+            full = _time_engine_ingest(batches, tel)
+            off = _time_engine_ingest(batches, None)
+        else:
+            off = _time_engine_ingest(batches, None)
+            full = _time_engine_ingest(batches, tel)
+        offs.append(off)
+        fulls.append(full)
         timeline_events = tel.timeline.recorded
     return {
         "dataset": SNAPSHOT_DATASET,
         "batch_size": BATCH_SIZE,
         "num_batches": NUM_BATCHES,
-        "ingest_off_s": best_off,
-        "ingest_full_s": best_full,
-        "overhead_fraction": best_full / best_off - 1.0,
+        "pairs": OVERHEAD_PAIRS,
+        "ingest_off_s": statistics.median(offs),
+        "ingest_full_s": statistics.median(fulls),
+        "overhead_fraction": statistics.median(
+            full / off for off, full in zip(offs, fulls)
+        ) - 1.0,
         "timeline_events": timeline_events,
     }
 
@@ -216,9 +237,10 @@ def test_perf_telemetry_overhead(benchmark):
     """Full instrumentation must stay cheap on the ingest hot path.
 
     The <5% acceptance bound is asserted under ``REPRO_BENCH_ENFORCE=1``
-    (best-of-rounds still jitters a few percent on a loaded box); the
-    always-on bound only catches gross regressions — an accidental clock
-    read or allocation per edge rather than per batch.
+    on the median pair ratio (a comparison of two best-of minima swung
+    from -1% to +6% between runs on a loaded box); the always-on bound
+    only catches gross regressions — an accidental clock read or
+    allocation per edge rather than per batch.
     """
     result = benchmark.pedantic(run_telemetry_overhead, rounds=1, iterations=1)
     RESULTS_DIR.mkdir(exist_ok=True)

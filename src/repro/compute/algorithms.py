@@ -83,14 +83,14 @@ class SSSPAlgorithm(_SourceMixin, ComputeAlgorithm):
 
 @register_algorithm("pr_static")
 class StaticPageRankAlgorithm(ComputeAlgorithm):
-    """From-scratch PageRank on a (delta-patched) CSR snapshot per round."""
+    """Static PageRank, rerun in full on a CSR snapshot gathered per round."""
 
     reads_in_lists = False
 
     def __init__(self, ctx):
         super().__init__(ctx)
-        # Static algorithms re-snapshot every round; patch the cached CSR
-        # arrays instead of rebuilding from the dicts each time.
+        # Static algorithms re-snapshot every round: one gather of the
+        # graph's out-segments.
         self.snapshotter = DeltaSnapshotter(ctx.graph, telemetry=ctx.telemetry)
 
     def on_round(self, batch, affected, covered):
@@ -103,7 +103,7 @@ class StaticPageRankAlgorithm(ComputeAlgorithm):
 
 @register_algorithm("sssp_static")
 class StaticSSSPAlgorithm(_SourceMixin, ComputeAlgorithm):
-    """From-scratch SSSP on a (delta-patched) CSR snapshot per round."""
+    """Static SSSP, rerun in full on a CSR snapshot gathered per round."""
 
     reads_in_lists = False
 

@@ -17,7 +17,7 @@ from ..errors import ConfigurationError
 from ..graph.base import DynamicGraph
 from ..graph.snapshot import CSRSnapshot
 from .result import ComputeCounters
-from .sssp import IncrementalSSSP
+from .sssp import IncrementalSSSP, out_views
 
 __all__ = ["StaticBFS", "IncrementalBFS"]
 
@@ -82,8 +82,7 @@ class IncrementalBFS(IncrementalSSSP):
         import heapq
 
         dist = self.dist
-        out_adj, __ = self.graph.adjacency_views()
-        empty: dict[int, float] = {}
+        offsets, lengths, targets, __ = out_views(self.graph)
         touched_vertices = 0
         touched_edges = 0
         while heap:
@@ -91,10 +90,11 @@ class IncrementalBFS(IncrementalSSSP):
             if d > dist[v]:
                 continue
             touched_vertices += 1
-            out = out_adj.get(v, empty)
-            touched_edges += len(out)
+            a = offsets[v]
+            b = a + lengths[v]
+            touched_edges += b - a
             nd = d + 1.0
-            for t in out:
+            for t in targets[a:b]:
                 if nd < dist[t]:
                     dist[t] = nd
                     heapq.heappush(heap, (nd, t))
@@ -134,8 +134,11 @@ class IncrementalBFS(IncrementalSSSP):
         heap = []
         for batch in batches:
             inserts = batch.insertions
-            for u, v in zip(inserts.src.tolist(), inserts.dst.tolist()):
-                if not self.graph.has_edge(u, v):
+            present = ~np.isnan(self.graph.edge_weights(inserts.src, inserts.dst))
+            for u, v, live in zip(
+                inserts.src.tolist(), inserts.dst.tolist(), present.tolist()
+            ):
+                if not live:
                     continue
                 nd = dist[u] + 1.0
                 if nd < dist[v]:
@@ -154,14 +157,16 @@ class IncrementalBFS(IncrementalSSSP):
     def _invalidate_closure_unit(self, roots: set[int]) -> tuple[set[int], int]:
         """Unit-weight forward closure (dist[c] == dist[v] + 1)."""
         dist = self.dist
+        offsets, lengths, targets, __ = out_views(self.graph)
         invalid = {v for v in roots if dist[v] < INF and v != self.source}
         queue = list(invalid)
         touched_edges = 0
         while queue:
             v = queue.pop()
-            out = self.graph.out_neighbors(v)
-            touched_edges += len(out)
-            for c in out:
+            a = offsets[v]
+            b = a + lengths[v]
+            touched_edges += b - a
+            for c in targets[a:b]:
                 if c in invalid or c == self.source:
                     continue
                 if dist[c] == dist[v] + 1.0:

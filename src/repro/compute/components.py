@@ -93,18 +93,21 @@ class IncrementalConnectedComponents:
         self.rebuilds = 0
 
     def _rebuild(self) -> ComputeCounters:
-        """Full relabel from the live adjacency after deletions."""
+        """Full relabel from the out-segments after deletions, owner by
+        ascending owner, each owner's targets in stored order."""
         self.rebuilds += 1
-        self._uf = _UnionFind(self.graph.num_vertices)
-        touched_edges = 0
-        for u, neighbors in self.graph.out_adjacency().items():
-            for v in neighbors:
-                self._uf.union(u, v)
-            touched_edges += len(neighbors)
+        n = self.graph.num_vertices
+        self._uf = _UnionFind(n)
+        out = self.graph.out_segments()
+        owners = np.repeat(np.arange(n, dtype=np.int64), out.lengths)
+        targets = out.targets[out.positions()]
+        union = self._uf.union
+        for u, v in zip(owners.tolist(), targets.tolist()):
+            union(u, v)
         return ComputeCounters(
             iterations=1,
-            touched_vertices=self.graph.num_vertices,
-            touched_edges=touched_edges,
+            touched_vertices=n,
+            touched_edges=len(targets),
         )
 
     def on_batch(self, batch: Batch) -> ComputeCounters:

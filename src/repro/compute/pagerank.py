@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from itertools import chain, repeat
+from itertools import chain
 
 import numpy as np
 
@@ -56,13 +56,8 @@ _INT32_MAX = 0x7FFFFFFF
 #: Frontier-position sentinel: larger than any position, so "earlier than
 #: me" tests false for vertices outside the frontier.
 _NOT_IN_FRONTIER = _INT32_MAX
-#: How many stored in-CSR edges a numpy scan covers in the time it takes to
-#: read one pushed edge from the out-dicts (measured in docs/MODEL.md,
-#: "Next frontier").
-_SCAN_PER_PUSHED_EDGE = 16
 #: In-CSR work counted per call (``pagerank.csr_*``).
 _WORK = ("folds", "merges", "rebuilds")
-_EMPTY: dict[int, float] = {}
 
 
 def check_pagerank_settings(
@@ -157,7 +152,7 @@ class IncrementalPageRank:
     perform exactly the loop's float operations, so ranks and counters are
     bit-identical whichever path a round takes.
 
-    The engine reads only the graph's out-adjacency and degree arrays.  The
+    The engine reads only the graph's out-segments and degree arrays.  The
     in-direction it sums over is its own: a CSR of each vertex's sources in
     ascending order, patched from the batches each call covers.
 
@@ -237,7 +232,7 @@ class IncrementalPageRank:
                 call (or since construction), oldest first; for an
                 OCA-aggregated round, every batch it covers.  Their edges
                 patch the in-CSR.  ``None``, or an engine restored from a
-                pickle, rebuilds the in-CSR from the graph's out-adjacency
+                pickle, rebuilds the in-CSR from the graph's out-segments
                 instead, as does a patched state whose edge count or
                 in-degrees disagree with the graph's.
 
@@ -247,10 +242,11 @@ class IncrementalPageRank:
         self._work = dict.fromkeys(_WORK, 0)
         self._sync(batches)
         frontier = _vertex_ids(affected)
-        out_adj = self.graph.out_adjacency()
-        out_deg = self.graph.out_degrees()
+        out = self.graph.out_segments()
+        out_deg = out.lengths
         # Item reads give Python floats and ints, as the loop's list did.
         values_view, deg_view = memoryview(self.values), memoryview(out_deg)
+        out_views = memoryview(out.offsets), memoryview(out.targets)
         touched_vertices = 0
         touched_edges = 0
         rounds = 0
@@ -268,7 +264,7 @@ class IncrementalPageRank:
                 if isinstance(frontier, np.ndarray):
                     frontier = frontier.tolist()
                 frontier, edges = self._scalar_round(
-                    frontier, values_view, deg_view, out_adj, force_push
+                    frontier, values_view, deg_view, out_views, force_push
                 )
                 touched_edges += edges
                 continue
@@ -279,9 +275,9 @@ class IncrementalPageRank:
             pushers, in_edges = self._round(
                 np.asarray(frontier, dtype=np.int64), out_deg, force_push
             )
-            pushed = int(out_deg[pushers].sum())
-            touched_edges += in_edges + pushed
-            frontier = self._targets(pushers, pushed, out_adj)
+            touched_edges += in_edges + int(out_deg[pushers].sum())
+            # The next frontier: the sorted unique out-targets of the pushers.
+            frontier = sorted_unique(out.targets[out.positions(pushers)])
         if self.telemetry.enabled:
             count = self.telemetry.count
             count("pagerank.scalar_rounds", scalar_rounds)
@@ -295,14 +291,15 @@ class IncrementalPageRank:
         )
 
     def _scalar_round(
-        self, frontier: list, values, out_deg, out_adj, force_push: bool
+        self, frontier: list, values, out_deg, out_views, force_push: bool
     ) -> tuple[list | np.ndarray, int]:
         """Recompute ``frontier`` (ascending ids) in place, one vertex at a time.
 
         The per-vertex loop itself: each vertex sums ``values[u] /
         outdeg(u)`` over its sources in ascending order, left to right from
         ``0.0``.  ``values`` and ``out_deg`` are memoryviews of the rank and
-        out-degree arrays.
+        out-degree arrays, ``out_views`` of the out-segments' offsets and
+        targets.
 
         Returns:
             (the next frontier, ascending, as a list or, when a numpy
@@ -313,6 +310,7 @@ class IncrementalPageRank:
         damping = self.damping
         tolerance = self.tolerance
         lists = self._lists
+        offsets, targets = out_views
         next_frontier: set[int] = set()
         touched_edges = 0
         for v in frontier:
@@ -327,9 +325,10 @@ class IncrementalPageRank:
             touched_edges += len(sources)
             new_value = base + damping * total
             if force_push or abs(new_value - values[v]) > tolerance:
-                out_nbrs = out_adj.get(v, _EMPTY)
-                touched_edges += len(out_nbrs)
-                next_frontier.update(out_nbrs)
+                a = offsets[v]
+                b = a + out_deg[v]
+                touched_edges += b - a
+                next_frontier.update(targets[a:b])
             values[v] = new_value
         if len(next_frontier) < SCALAR_FRONTIER_MAX:
             return sorted(next_frontier), touched_edges
@@ -405,30 +404,6 @@ class IncrementalPageRank:
             values[targets] = new
         return order[push], n_in
 
-    def _targets(self, pushers: np.ndarray, pushed: int, out_adj) -> np.ndarray:
-        """The next frontier: the sorted unique out-targets of ``pushers``,
-        whose out-degrees sum to ``pushed``.
-
-        Reading the out-dicts costs per pushed edge; scanning the in-CSR
-        for sources that push costs per stored edge but runs in numpy, about
-        :data:`_SCAN_PER_PUSHED_EDGE` times cheaper per edge.  The round
-        takes the cheaper one (docs/MODEL.md, "Next frontier").
-        """
-        if pushed * _SCAN_PER_PUSHED_EDGE < len(self._src):
-            targets = map(out_adj.get, pushers.tolist(), repeat(_EMPTY))
-            return sorted_unique(
-                np.fromiter(
-                    chain.from_iterable(targets), dtype=np.int64, count=pushed
-                )
-            )
-        pushes = np.zeros(len(self.values), dtype=bool)
-        pushes[pushers] = True
-        # Slots are ascending, so their owners come out sorted.
-        owners = np.searchsorted(
-            self._ptr, np.flatnonzero(pushes[self._src]), side="right"
-        ) - 1
-        return owners[np.r_[True, owners[1:] != owners[:-1]]] if len(owners) else owners
-
     # -- the in-CSR ------------------------------------------------------------
 
     def _sync(self, batches) -> None:
@@ -438,7 +413,7 @@ class IncrementalPageRank:
         once more than :data:`FOLD_MAX_PENDING` vertices are pending, so no
         later fold grows with the number of calls since the last numpy
         round, and after a merge in this call.  Rebuilds from the graph's
-        out-adjacency without batches, without a CSR (an unpickled engine),
+        out-segments without batches, without a CSR (an unpickled engine),
         or when the guard fails: the state's edge count differs from the
         graph's, or a CSR this call replaced has in-lengths other than the
         graph's in-degrees.
@@ -526,9 +501,11 @@ class IncrementalPageRank:
                 chain.from_iterable(lists), dtype=kept.dtype, count=int(new_len.sum())
             ),
         )
-        grow = np.zeros(len(self._ptr), dtype=np.int64)
-        grow[verts + 1] = new_len - old_len
-        self._ptr = self._ptr + np.cumsum(grow)
+        # Shift the offsets after each folded vertex, in place: the shift
+        # steps up at each one, so it is one repeat of the running sums.
+        shift = np.cumsum(new_len - old_len)
+        runs = np.diff(np.append(verts + 1, len(self._ptr)))
+        self._ptr[verts[0] + 1 :] += np.repeat(shift, runs)
         self._views = memoryview(self._ptr), memoryview(self._src)
         self._work["folds"] += 1
 
@@ -552,17 +529,11 @@ class IncrementalPageRank:
         self._work["merges"] += 1
 
     def _rebuild(self) -> None:
-        """Build the in-CSR afresh from the graph's out-adjacency."""
-        out_adj = self.graph.out_adjacency()
-        owners = np.fromiter(out_adj.keys(), dtype=np.int64, count=len(out_adj))
-        lens = np.fromiter(
-            map(len, out_adj.values()), dtype=np.int64, count=len(out_adj)
-        )
-        targets = np.fromiter(
-            chain.from_iterable(out_adj.values()), dtype=np.int64, count=int(lens.sum())
-        )
+        """Build the in-CSR afresh from the graph's out-segments."""
+        out = self.graph.out_segments()
         n = self.graph.num_vertices
-        self._set_csr(np.sort(targets * n + np.repeat(owners, lens)))
+        owners = np.repeat(np.arange(n, dtype=np.int64), out.lengths)
+        self._set_csr(np.sort(out.targets[out.positions()] * n + owners))
         self._lists = {}
         self._dirty = set()
         self._work["rebuilds"] += 1

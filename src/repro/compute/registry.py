@@ -82,10 +82,9 @@ class ComputeAlgorithm:
     #: Registry key (set by :func:`register_algorithm`).
     name: str = ""
 
-    #: Whether the algorithm reads the graph's in-lists (``in_neighbors``
-    #: or the in-mapping of ``adjacency_views``).  A pipeline builds its
-    #: graph with in-lists only when this is true, so an algorithm that
-    #: reads the out-direction alone sets it to False.
+    #: Whether the algorithm reads the graph's in-lists (``in_neighbors``).
+    #: A pipeline builds its graph with in-lists only when this is true, so
+    #: an algorithm that reads the out-direction alone sets it to False.
     reads_in_lists: bool = True
 
     def __init__(self, ctx: AlgorithmContext):

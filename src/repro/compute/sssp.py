@@ -28,6 +28,12 @@ __all__ = ["StaticSSSP", "IncrementalSSSP"]
 INF = math.inf
 
 
+def out_views(graph: DynamicGraph) -> tuple[memoryview, ...]:
+    """Memoryviews of ``graph``'s out-segments (offsets, lengths, targets,
+    weights): item reads give Python ints and floats."""
+    return tuple(map(memoryview, graph.out_segments()))
+
+
 class StaticSSSP:
     """Dijkstra from scratch over a CSR snapshot."""
 
@@ -85,8 +91,7 @@ class IncrementalSSSP:
     def _relax_from(self, heap: list) -> tuple[int, int]:
         """Dijkstra main loop from a pre-seeded heap."""
         dist = self.dist
-        out_adj, __ = self.graph.adjacency_views()
-        empty: dict[int, float] = {}
+        offsets, lengths, targets, weights = out_views(self.graph)
         touched_vertices = 0
         touched_edges = 0
         while heap:
@@ -94,9 +99,10 @@ class IncrementalSSSP:
             if d > dist[v]:
                 continue
             touched_vertices += 1
-            out = out_adj.get(v, empty)
-            touched_edges += len(out)
-            for t, w in out.items():
+            a = offsets[v]
+            b = a + lengths[v]
+            touched_edges += b - a
+            for t, w in zip(targets[a:b], weights[a:b]):
                 nd = d + w
                 if nd < dist[t]:
                     dist[t] = nd
@@ -111,14 +117,16 @@ class IncrementalSSSP:
         path may run through the deleted region.
         """
         dist = self.dist
+        offsets, lengths, targets, weights = out_views(self.graph)
         invalid = {v for v in roots if dist[v] < INF and v != self.source}
         queue = list(invalid)
         touched_edges = 0
         while queue:
             v = queue.pop()
-            out = self.graph.out_neighbors(v)
-            touched_edges += len(out)
-            for c, w in out.items():
+            a = offsets[v]
+            b = a + lengths[v]
+            touched_edges += b - a
+            for c, w in zip(targets[a:b], weights[a:b]):
                 if c in invalid or c == self.source:
                     continue
                 if dist[c] == dist[v] + w:
@@ -172,11 +180,14 @@ class IncrementalSSSP:
         heap = []
         for batch in batches:
             inserts = batch.insertions
-            for u, v in zip(inserts.src.tolist(), inserts.dst.tolist()):
-                # The applied weight may differ from this tuple's (duplicates
-                # refresh), so read the authoritative weight from the graph.
-                current = self.graph.out_neighbors(u).get(v)
-                if current is None:
+            # The applied weight may differ from a tuple's (duplicates
+            # refresh), so read the authoritative weights from the graph;
+            # NaN marks a pair deleted since.
+            weights = self.graph.edge_weights(inserts.src, inserts.dst)
+            for u, v, current in zip(
+                inserts.src.tolist(), inserts.dst.tolist(), weights.tolist()
+            ):
+                if current != current:
                     continue
                 nd = dist[u] + current
                 if nd < dist[v]:

@@ -11,11 +11,13 @@ Triangles are counted in the *undirected* view of the graph (each unordered
 vertex triple with all three connections counts once), the convention of the
 streaming literature.  Because exact maintenance must see the graph evolve
 edge by edge, :class:`IncrementalTriangleCounter` *owns* batch application:
-call :meth:`ingest` instead of ``graph.apply_batch`` for the batches it
-tracks.
+call :meth:`~IncrementalTriangleCounter.ingest` instead of
+``graph.apply_batch`` for the batches it tracks.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from ..datasets.stream import Batch
 from ..graph.base import DynamicGraph
@@ -28,14 +30,6 @@ __all__ = [
     "IncrementalTriangleCounter",
     "TriangleCountAlgorithm",
 ]
-
-
-def _undirected_neighbors(out_adj, in_adj, v, empty) -> set[int]:
-    """The undirected neighbor set of ``v``."""
-    nbrs = set(out_adj.get(v, empty))
-    nbrs.update(in_adj.get(v, empty))
-    nbrs.discard(v)
-    return nbrs
 
 
 class StaticTriangleCount:
@@ -81,48 +75,67 @@ class IncrementalTriangleCounter:
     def ingest(self, batch: Batch) -> ComputeCounters:
         """Apply ``batch`` to the graph while maintaining the count.
 
-        Insertions are processed (then applied) edge by edge so intra-batch
-        edges see each other; deletions follow, per the §4.4.3 ordering.
+        Edges are counted one by one against the graph as it was before the
+        batch plus the arcs the batch has added and removed so far, so
+        edges inside one batch see each other: insertions first, then
+        deletions, per the §4.4.3 ordering.  Self-loops join no triangle.
+        The batch is then applied with ``graph.apply_batch``.
         """
-        out_adj, in_adj = self.graph.adjacency_views()
-        empty: dict[int, float] = {}
+        graph = self.graph
+        arcs: dict[tuple[int, int], bool] = {}  # the batch's edits so far
+        undirected: dict[int, set[int]] = {}  # neighbour sets, as edited
+        in_neighbors = graph.in_neighbors
+        if not graph.keeps_in_lists:
+            # One in-mapping per batch, not one scan of the graph per vertex.
+            in_neighbors = graph.adjacency_views()[1].get
+
+        def neighbors(v: int) -> set[int]:
+            nbrs = undirected.get(v)
+            if nbrs is None:
+                nbrs = undirected[v] = set(graph.out_neighbors(v))
+                nbrs.update(in_neighbors(v) or ())
+                nbrs.discard(v)
+            return nbrs
+
         touched_edges = 0
         touched_vertices = 0
         inserts = batch.insertions
-        for u, v, w in zip(
-            inserts.src.tolist(), inserts.dst.tolist(), inserts.weight.tolist()
-        ):
+        for u, v in zip(inserts.src.tolist(), inserts.dst.tolist()):
             if u == v:
                 continue
-            u_nbrs = _undirected_neighbors(out_adj, in_adj, u, empty)
+            arcs[(u, v)] = True
+            u_nbrs = neighbors(u)
             if v not in u_nbrs:
                 # A structurally new undirected edge: count new triangles.
-                v_nbrs = _undirected_neighbors(out_adj, in_adj, v, empty)
+                v_nbrs = neighbors(v)
                 self.count += len(u_nbrs & v_nbrs)
                 touched_edges += len(u_nbrs) + len(v_nbrs)
                 touched_vertices += 2
-            out_adj.setdefault(u, {})[v] = w
-            in_adj.setdefault(v, {})[u] = w
+                u_nbrs.add(v)
+                v_nbrs.add(u)
         deletions = batch.deletions
-        for u, v in zip(deletions.src.tolist(), deletions.dst.tolist()):
-            entry = out_adj.get(u)
-            if entry is None or v not in entry:
+        # Whether each deleted arc, and its reverse, held before the batch:
+        # one lookup per direction for the whole batch.
+        held = ~np.isnan(graph.edge_weights(deletions.src, deletions.dst))
+        reverse_held = ~np.isnan(graph.edge_weights(deletions.dst, deletions.src))
+        for u, v, arc, reverse in zip(
+            deletions.src.tolist(), deletions.dst.tolist(),
+            held.tolist(), reverse_held.tolist(),
+        ):
+            if u == v or not arcs.get((u, v), arc):
                 continue
-            del entry[v]
-            in_adj.get(v, {}).pop(u, None)
-            if u in out_adj.get(v, empty):
+            arcs[(u, v)] = False
+            if arcs.get((v, u), reverse):
                 # The reverse arc keeps the undirected edge alive.
                 continue
-            u_nbrs = _undirected_neighbors(out_adj, in_adj, u, empty)
-            v_nbrs = _undirected_neighbors(out_adj, in_adj, v, empty)
+            u_nbrs = neighbors(u)
+            v_nbrs = neighbors(v)
+            u_nbrs.discard(v)
+            v_nbrs.discard(u)
             self.count -= len(u_nbrs & v_nbrs)
             touched_edges += len(u_nbrs) + len(v_nbrs)
             touched_vertices += 2
-        # The direct adjacency mutations above bypass apply_batch, so the
-        # graph must recompute its derived state (edge count, degree caches,
-        # snapshot journals).
-        self.graph.notify_external_mutation()
-        self.graph.batches_applied += 1
+        graph.apply_batch(batch)
         return ComputeCounters(
             iterations=1,
             touched_vertices=touched_vertices,
@@ -137,7 +150,7 @@ class TriangleCountAlgorithm(ComputeAlgorithm):
     Registered here — not in the pipeline — to demonstrate that adding an
     algorithm is a registration, not a core edit.  Because the pipeline's
     update engine owns batch application, this adapter uses the *static*
-    counter over delta-patched CSR snapshots (the exact incremental
+    counter over CSR snapshots (the exact incremental
     counter, which must see the graph evolve edge by edge, stays available
     as :class:`IncrementalTriangleCounter` for drivers that let it own
     ingestion).  The latest count is exposed as :attr:`count`.

@@ -1,6 +1,6 @@
 """Dynamic graph data structures and batch statistics."""
 
-from .base import BatchUpdateStats, DirectionStats, DynamicGraph, GraphDelta
+from .base import BatchUpdateStats, DirectionStats, DynamicGraph, Segments
 from .adjacency_list import AdjacencyListGraph
 from .degree_aware_hash import DegreeAwareHashGraph
 from .edge_log import EdgeLogGraph
@@ -19,7 +19,7 @@ __all__ = [
     "BatchUpdateStats",
     "DirectionStats",
     "DynamicGraph",
-    "GraphDelta",
+    "Segments",
     "AdjacencyListGraph",
     "ReferenceAdjacencyListGraph",
     "DegreeAwareHashGraph",

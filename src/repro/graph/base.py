@@ -7,23 +7,22 @@ ingestion with duplicate checking, plus the per-vertex statistics the update
 cost models need (batch degree, pre-update adjacency length, new-vs-duplicate
 split per direction).
 
-Structures may also journal changes for CSR snapshot patching
-(:meth:`DynamicGraph.track_deltas` / :meth:`DynamicGraph.consume_delta`).
-Snapshots hold only the out-adjacency, so only the out-direction is
-journaled; the in-direction always ingests untracked.
+Readers that sweep many adjacencies read them as arrays through
+:meth:`DynamicGraph.out_segments`.
 """
 
 from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from ..datasets.stream import Batch
 from ..errors import VertexOutOfRangeError
 
-__all__ = ["DirectionStats", "BatchUpdateStats", "GraphDelta", "DynamicGraph"]
+__all__ = ["DirectionStats", "BatchUpdateStats", "Segments", "DynamicGraph"]
 
 
 def read_only(array: np.ndarray) -> np.ndarray:
@@ -33,47 +32,34 @@ def read_only(array: np.ndarray) -> np.ndarray:
     return view
 
 
-@dataclass
-class GraphDelta:
-    """The out-adjacency's edits since the last snapshot, in order.
+def segment_positions(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The positions ``starts[i] .. starts[i] + lengths[i] - 1`` of every
+    segment ``i``, concatenated in segment order."""
+    ends = np.cumsum(lengths)
+    total = int(ends[-1]) if len(ends) else 0
+    return np.repeat(starts - (ends - lengths), lengths) + np.arange(total)
 
-    Recorded by structures with delta tracking enabled (see
-    :meth:`DynamicGraph.consume_delta`) so ``DeltaSnapshotter`` can splice
-    them into a cached CSR snapshot without re-reading any adjacency.
-    Each batch journals, in this order: the pairs its inserts added
-    (:attr:`APPEND`, each owner's in ascending target order, which is the
-    order they enter the owner's dict), the existing pairs whose stored
-    weight it changed (:attr:`SET`), and the pairs its deletes removed
-    (:attr:`DELETE`).
 
-    Attributes:
-        owners/targets: the edited pair of each edit.
-        weights: the weight an append or set stored (unused for a delete).
-        kinds: each edit's kind, an ``int8`` of :attr:`APPEND`,
-            :attr:`SET` or :attr:`DELETE`.
+class Segments(NamedTuple):
+    """One direction's adjacency as arrays, in stored order.
+
+    Vertex ``v``'s neighbours and weights are ``targets[offsets[v] :
+    offsets[v] + lengths[v]]`` and the same slice of ``weights``.  Slots
+    outside every segment hold garbage.  The arrays are read-only and valid
+    until the graph's next :meth:`DynamicGraph.apply_batch`.
     """
 
-    APPEND = 0
-    SET = 1
-    DELETE = 2
-
-    owners: np.ndarray
+    offsets: np.ndarray
+    lengths: np.ndarray
     targets: np.ndarray
     weights: np.ndarray
-    kinds: np.ndarray
 
-    @classmethod
-    def from_journal(
-        cls, journal: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]
-    ) -> "GraphDelta":
-        """Concatenate ``(owners, targets, weights, kinds)`` journal entries."""
-        if not journal:
-            none = np.empty(0, dtype=np.int64)
-            return cls(
-                none, none.copy(), np.empty(0, dtype=np.float64),
-                np.empty(0, dtype=np.int8),
-            )
-        return cls(*(np.concatenate(part) for part in zip(*journal)))
+    def positions(self, owners: np.ndarray | None = None) -> np.ndarray:
+        """Slots of the pairs of ``owners`` (default: every vertex),
+        owner after owner, each in stored order."""
+        if owners is None:
+            return segment_positions(self.offsets, self.lengths)
+        return segment_positions(self.offsets[owners], self.lengths[owners])
 
 
 @dataclass(frozen=True)
@@ -168,10 +154,9 @@ class DynamicGraph(abc.ABC):
     def keeps_in_lists(self) -> bool:
         """True when the in-adjacency is stored: :meth:`in_neighbors` and the
         in-mapping of :meth:`adjacency_views` then read it in its stored
-        order, instead of a copy built from the out-adjacency."""
+        order, instead of building it from the out-adjacency."""
         return True
 
-    @abc.abstractmethod
     def sum_search_cost(
         self,
         batch_degree: np.ndarray,
@@ -184,7 +169,10 @@ class DynamicGraph(abc.ABC):
         For each vertex, ``batch_degree`` searches run against an adjacency
         that starts at ``length_before`` entries and grows by ``new_edges``
         over the batch.  The plain adjacency list pays a linear scan per
-        search; structures with cheaper membership tests (DAH) override this.
+        search: ``k * L`` elements for the pre-existing entries plus the ramp
+        of the batch's own inserts (on average, every search after the first
+        sees half of them already in place).  Structures with cheaper
+        membership tests (DAH) override this.
 
         Args:
             batch_degree: searches per vertex (``k_v``).
@@ -196,28 +184,38 @@ class DynamicGraph(abc.ABC):
         Returns:
             Array of per-vertex total search costs.
         """
+        k = batch_degree.astype(np.float64)
+        scanned = (
+            k * length_before.astype(np.float64)
+            + np.maximum(k - 1.0, 0.0) * new_edges.astype(np.float64) / 2.0
+        )
+        return per_element * scanned
 
     @abc.abstractmethod
     def adjacency_views(
         self,
     ) -> tuple[dict[int, dict[int, float]], dict[int, dict[int, float]]]:
-        """Direct (out, in) adjacency mappings for read-heavy algorithms.
+        """The (out, in) adjacency as vertex -> {neighbor: weight} mappings.
 
-        The compute engines iterate millions of adjacency entries per round;
-        this accessor exposes the underlying vertex -> {neighbor: weight}
-        mappings so those loops avoid per-neighbor method dispatch.  Callers
-        must treat the returned mappings as read-only.  Without in-lists
-        (:attr:`keeps_in_lists` false) the in-mapping is a copy built from
-        the out-adjacency on each call.
+        For checks and tests: a structure that stores arrays builds these
+        mappings on each call, so no timed path calls it.  Callers must
+        treat the returned mappings as read-only.
         """
 
-    def out_adjacency(self) -> dict[int, dict[int, float]]:
-        """The live out-mapping of :meth:`adjacency_views`, read-only.
+    def out_segments(self) -> Segments:
+        """The out-adjacency as :class:`Segments`, for readers that sweep it.
 
-        For readers of the out-direction alone: a structure without stored
-        in-lists returns it without building an in-mapping.
+        This default builds them on each call from a CSR walk over
+        :meth:`out_neighbors`, so a dict-backed structure still drives every
+        engine; a structure that stores segments returns its storage.
         """
-        return self.adjacency_views()[0]
+        from .snapshot import take_snapshot
+
+        snap = take_snapshot(self)
+        return Segments(
+            snap.out_offsets[:-1], snap.out_degrees(), snap.out_targets,
+            snap.out_weights,
+        )
 
     def consume_phase_overhead(self) -> float:
         """Structure-specific maintenance time accrued by the last batch.
@@ -230,35 +228,8 @@ class DynamicGraph(abc.ABC):
         return 0.0
 
     @abc.abstractmethod
-    def track_deltas(self, enabled: bool = True) -> None:
-        """Start (or stop) recording out-direction deltas for snapshot patching.
-
-        Off by default so plain ingest pays no tracking cost.
-        """
-
-    @abc.abstractmethod
-    def consume_delta(self) -> GraphDelta | None:
-        """Return and clear the out-direction delta recorded since last call.
-
-        Only meaningful after :meth:`track_deltas`; consumption clears the
-        journal, so attach at most one delta consumer per graph.  ``None``
-        means "unknown — rebuild snapshots from scratch".
-        """
-
-    @abc.abstractmethod
     def vertices_with_edges(self) -> list[int]:
         """Sorted vertices that have ever had an incident edge (read-only)."""
-
-    @abc.abstractmethod
-    def notify_external_mutation(self) -> None:
-        """Rebuild derived bookkeeping after direct adjacency mutation.
-
-        A few read-mostly algorithms (e.g. the triangle counter) mutate the
-        mappings returned by :meth:`adjacency_views` edge by edge instead of
-        going through :meth:`apply_batch`; they must call this afterwards so
-        maintained state (edge counts, degree caches, delta journals) is
-        recomputed from the mappings.
-        """
 
     @abc.abstractmethod
     def out_degrees(self) -> np.ndarray:
@@ -268,6 +239,27 @@ class DynamicGraph(abc.ABC):
     @abc.abstractmethod
     def in_degrees(self) -> np.ndarray:
         """Read-only int64 in-degree of every vertex; see :meth:`out_degrees`."""
+
+    def has_edge(self, u: int, v: int) -> bool:
+        """True if edge u->v is currently present."""
+        return v in self.out_neighbors(u)
+
+    def edge_weight(self, u: int, v: int) -> float | None:
+        """Current weight of u->v, or None if absent."""
+        return self.out_neighbors(u).get(v)
+
+    def edge_weights(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+        """Current float64 weight of each pair ``src[i] -> dst[i]``, NaN
+        where the pair is absent (a stored NaN weight reads as absent).
+
+        Readers that check a whole batch's pairs make this one call instead
+        of one :meth:`edge_weight` each.
+        """
+        return np.array(
+            [self.out_neighbors(u).get(v, np.nan)
+             for u, v in zip(src.tolist(), dst.tolist())],
+            dtype=np.float64,
+        )
 
     # -- shared helpers ----------------------------------------------------
     def out_degree(self, v: int) -> int:

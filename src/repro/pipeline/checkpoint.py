@@ -2,11 +2,11 @@
 
 A :class:`PipelineCheckpoint` freezes *everything* a
 :class:`~repro.pipeline.runner.StreamingPipeline` needs to continue a run
-bit-identically after a crash: the graph (adjacency dicts, degree arrays,
-delta journal), the update engine's ABR cadence/decision state and per-batch
+bit-identically after a crash: the graph (adjacency segments, degree
+arrays), the update engine's ABR cadence/decision state and per-batch
 results, the OCA controller's ``latest_bid`` overlap state and pending
-deferral, the compute algorithm's incremental engine (ranks/distances/CSR
-snapshot cache), the stream cursor, the accumulated
+deferral, the compute algorithm's incremental engine (ranks/distances), the
+stream cursor, the accumulated
 :class:`~repro.pipeline.metrics.RunMetrics`, and the live telemetry backend.
 All of it is captured in **one** pickle so shared references (the graph the
 engine, snapshotter, and algorithm context all point at) stay shared after

@@ -182,7 +182,7 @@ class StreamingPipeline:
             )
         elif algorithm_cls.reads_in_lists and not graph.keeps_in_lists:
             # Without in-lists, every in_neighbors() call scans all the
-            # out-dicts: the algorithm would slow down silently.
+            # out-segments: the algorithm would slow down silently.
             raise ConfigurationError(
                 f"algorithm {algorithm!r} reads in-lists, but the graph "
                 "keeps none"

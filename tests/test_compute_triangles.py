@@ -2,6 +2,7 @@
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import make_batch
 from repro.compute.triangles import IncrementalTriangleCounter, StaticTriangleCount
@@ -103,3 +104,39 @@ def test_graph_bookkeeping_maintained():
     assert graph.num_edges == 2
     assert graph.batches_applied == 1
     assert graph.edge_weight(0, 1) == 1.0
+
+
+@given(
+    st.lists(
+        st.lists(
+            st.tuples(
+                st.integers(0, 7), st.integers(0, 7),
+                st.integers(0, 2).map(lambda x: x == 0),  # ~1 in 3 deletes
+            ),
+            min_size=1, max_size=30,
+        ),
+        min_size=1, max_size=8,
+    ),
+    st.booleans(),
+)
+@settings(max_examples=100, deadline=None)
+def test_random_insert_delete_stream_matches_static(stream, keep_in_lists):
+    """Random batches on 8 vertices — self-loops, both arcs of a pair,
+    pairs repeated, deleted and re-inserted within and across batches:
+    after every batch the count equals a static recount, and the graph
+    equals one that applied the same batches directly."""
+    import numpy as np
+
+    graph = AdjacencyListGraph(8, keep_in_lists=keep_in_lists)
+    plain = AdjacencyListGraph(8)
+    tc = IncrementalTriangleCounter(graph)
+    for batch_id, edges in enumerate(stream):
+        src, dst, deletes = zip(*edges)
+        batch = make_batch(src, dst, batch_id=batch_id, is_delete=deletes)
+        tc.ingest(batch)
+        plain.apply_batch(batch)
+        static, __ = StaticTriangleCount().run(take_snapshot(graph))
+        assert tc.count == static
+        assert graph.adjacency_views()[0] == plain.adjacency_views()[0]
+        assert np.array_equal(graph.in_degrees(), plain.in_degrees())
+    assert graph.batches_applied == len(stream)

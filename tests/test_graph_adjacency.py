@@ -129,3 +129,80 @@ def test_large_batch_matches_reference_dict_model(small_generator):
     for v, expected in reference_out.items():
         assert graph.out_neighbors(v) == expected
     assert graph.num_edges == sum(len(d) for d in reference_out.values())
+
+
+def test_adjacency_views_are_copies(tiny_graph):
+    tiny_graph.apply_batch(make_batch([1], [2]))
+    out, inn = tiny_graph.adjacency_views()
+    out[1][7] = 3.0
+    inn.clear()
+    assert tiny_graph.out_neighbors(1) == {2: 1.0}
+    assert tiny_graph.in_neighbors(2) == {1: 1.0}
+
+
+def _segment(graph, v):
+    segments = graph.out_segments()
+    a = segments.offsets[v]
+    b = a + segments.lengths[v]
+    return list(zip(segments.targets[a:b].tolist(), segments.weights[a:b].tolist()))
+
+
+def test_out_segments_keep_each_vertex_in_arrival_order(tiny_graph):
+    """New pairs go to the tail in first-arrival order, a repeat keeps its
+    slot and takes the last weight, a delete closes its gap in order and a
+    re-insert goes to the tail: the order of a per-vertex dict."""
+    tiny_graph.apply_batch(make_batch([1, 1, 1, 1], [5, 3, 5, 4], [1.0, 2.0, 3.0, 4.0]))
+    assert _segment(tiny_graph, 1) == [(5, 3.0), (3, 2.0), (4, 4.0)]
+    tiny_graph.apply_batch(make_batch(
+        [1, 1, 1], [3, 9, 5], [6.0, 1.0, 1.0], batch_id=1,
+        is_delete=[False, False, True],
+    ))
+    assert _segment(tiny_graph, 1) == [(3, 6.0), (4, 4.0), (9, 1.0)]
+    tiny_graph.apply_batch(make_batch([1], [5], [2.0], batch_id=2))
+    assert _segment(tiny_graph, 1) == [(3, 6.0), (4, 4.0), (9, 1.0), (5, 2.0)]
+    segments = tiny_graph.out_segments()
+    assert segments.lengths.tolist() == tiny_graph.out_degrees().tolist()
+    assert not any(array.flags.writeable for array in segments)
+
+
+def test_a_full_segment_moves_to_the_pool_end():
+    """A segment grows in place into its slack; one that outgrows its
+    power-of-two capacity moves past every other segment, keeping its
+    pairs in order."""
+    graph = AdjacencyListGraph(8)
+    graph.apply_batch(make_batch([0, 1, 1], [1, 2, 3]))
+    pool = graph._out
+    start = int(pool.start[1])
+    assert pool.capacity[1] == 2
+    graph.apply_batch(make_batch([1, 1, 1], [4, 5, 6], batch_id=1))
+    assert pool.capacity[1] == 8
+    assert pool.start[1] > max(start, pool.start[0])
+    assert _segment(graph, 1) == [(t, 1.0) for t in (2, 3, 4, 5, 6)]
+    assert _segment(graph, 0) == [(1, 1.0)]
+
+
+def test_edge_weights_look_up_a_batch_of_pairs(small_generator):
+    """One call reads the stored weight of every queried pair, NaN for an
+    absent one, whether the pair is queried once or repeatedly: the same
+    as the dict oracle's per-pair lookups."""
+    from repro.graph.reference import ReferenceAdjacencyListGraph
+
+    graph = AdjacencyListGraph(500)
+    ref = ReferenceAdjacencyListGraph(500)
+    rng = np.random.default_rng(3)
+    for batch in small_generator.batches(2_000, 3):
+        graph.apply_batch(batch)
+        ref.apply_batch(batch)
+    deletes = make_batch(batch.src[:300], batch.dst[:300], batch_id=3,
+                         is_delete=[True] * 300)
+    graph.apply_batch(deletes)
+    ref.apply_batch(deletes)
+    src = np.concatenate([batch.src, rng.integers(0, 500, 500), batch.src[:50]])
+    dst = np.concatenate([batch.dst, rng.integers(0, 500, 500), batch.dst[:50]])
+    got = graph.edge_weights(src, dst)
+    want = [ref.edge_weight(u, v) for u, v in zip(src.tolist(), dst.tolist())]
+    assert got.dtype == np.float64
+    assert np.isnan(got).tolist() == [w is None for w in want]
+    assert np.array_equal(got, ref.edge_weights(src, dst), equal_nan=True)
+    assert got[~np.isnan(got)].tolist() == [w for w in want if w is not None]
+    assert graph.edge_weights(src[:0], dst[:0]).tolist() == []

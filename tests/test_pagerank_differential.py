@@ -5,7 +5,7 @@ loop kept in ``tests/pagerank_reference.py`` (``np.array_equal``) and equal
 ``ComputeCounters`` after every call — for any stream (deletes included),
 any form of the ``affected`` argument, OCA-covered batch lists, restored
 engines, any convergence settings, any split of rounds between its scalar
-and numpy paths and any in-CSR merge, fold and scan thresholds.  The
+and numpy paths and any in-CSR merge and fold thresholds.  The
 exact-order loop it replaced stays a bounded oracle on the profile streams.
 Also pins the graph degree accessors the kernel reads and the engine's
 checkpoint state.
@@ -28,6 +28,7 @@ from repro.compute import pagerank
 from repro.compute.pagerank import IncrementalPageRank
 from repro.datasets.profiles import get_dataset
 from repro.graph.adjacency_list import AdjacencyListGraph
+from repro.graph.reference import ReferenceAdjacencyListGraph
 from repro.pipeline.checkpoint import PipelineCheckpoint
 from repro.pipeline.config import RunConfig
 from repro.telemetry.core import Telemetry
@@ -39,19 +40,15 @@ ALL_NUMPY = 0
 ALL_SCALAR = 1 << 62
 FRONTIER_SPLITS = [ALL_NUMPY, 8, pagerank.SCALAR_FRONTIER_MAX, ALL_SCALAR]
 NEVER = 1 << 62
-#: (MERGE_MIN_PAIRS, FOLD_MAX_PENDING, _SCAN_PER_PUSHED_EDGE): the shipped
-#: values; every batch merging; the larger drawn batches merging and the
-#: smaller editing lists; lists folded at every call; lists folded only
-#: before numpy rounds, next frontiers read from the out-dicts; and next
-#: frontiers always scanned from the in-CSR.
+#: (MERGE_MIN_PAIRS, FOLD_MAX_PENDING): the shipped values; every batch
+#: merging; the larger drawn batches merging and the smaller editing lists;
+#: lists folded at every call; and lists folded only before numpy rounds.
 IN_CSR_SETTINGS = [
-    (pagerank.MERGE_MIN_PAIRS, pagerank.FOLD_MAX_PENDING,
-     pagerank._SCAN_PER_PUSHED_EDGE),
-    (0, NEVER, pagerank._SCAN_PER_PUSHED_EDGE),
-    (30, pagerank.FOLD_MAX_PENDING, pagerank._SCAN_PER_PUSHED_EDGE),
-    (NEVER, 0, pagerank._SCAN_PER_PUSHED_EDGE),
-    (NEVER, NEVER, 0),
-    (pagerank.MERGE_MIN_PAIRS, pagerank.FOLD_MAX_PENDING, NEVER),
+    (pagerank.MERGE_MIN_PAIRS, pagerank.FOLD_MAX_PENDING),
+    (0, NEVER),
+    (30, pagerank.FOLD_MAX_PENDING),
+    (NEVER, 0),
+    (NEVER, NEVER),
 ]
 #: The exact-order loop's bound, fixed before it was first measured: the
 #: largest rank difference and the relative L1 distance to the kernel.
@@ -65,10 +62,9 @@ def _frontier_max(value):
 
 
 @contextlib.contextmanager
-def _in_csr(merge_min, fold_max, scan_ratio):
+def _in_csr(merge_min, fold_max):
     with mock.patch.object(pagerank, "MERGE_MIN_PAIRS", merge_min), \
-            mock.patch.object(pagerank, "FOLD_MAX_PENDING", fold_max), \
-            mock.patch.object(pagerank, "_SCAN_PER_PUSHED_EDGE", scan_ratio):
+            mock.patch.object(pagerank, "FOLD_MAX_PENDING", fold_max):
         yield
 
 
@@ -108,26 +104,20 @@ ops = st.lists(
     max_rounds=st.sampled_from([1, 2, 100]),
     frontier_max=st.sampled_from(FRONTIER_SPLITS),
     in_csr=st.sampled_from(IN_CSR_SETTINGS),
-    tracked=st.booleans(),
 )
 @settings(max_examples=200, deadline=None)
 def test_matches_reference_loop(
-    stream, affected_as, tolerance, max_rounds, frontier_max, in_csr, tracked
+    stream, affected_as, tolerance, max_rounds, frontier_max, in_csr
 ):
     with _frontier_max(frontier_max), _in_csr(*in_csr):
-        _stream_matches_reference(
-            stream, affected_as, tolerance, max_rounds, tracked
-        )
+        _stream_matches_reference(stream, affected_as, tolerance, max_rounds)
 
 
-def _stream_matches_reference(stream, affected_as, tolerance, max_rounds, tracked):
+def _stream_matches_reference(stream, affected_as, tolerance, max_rounds):
     """``oca`` defers every other round, so the next one covers two
     batches; ``restored`` round-trips graph, engine and oracle through one
-    pickle (as a pipeline checkpoint does) before every other call;
-    ``tracked`` changes the out-dicts' insertion order, which the ranks must
-    not follow."""
+    pickle (as a pipeline checkpoint does) before every other call."""
     graph = AdjacencyListGraph(N_VERTICES, keep_in_lists=False)
-    graph.track_deltas(tracked)
     engine = IncrementalPageRank(graph, tolerance=tolerance, max_rounds=max_rounds)
     reference = CanonicalIncrementalPageRank(
         graph, tolerance=tolerance, max_rounds=max_rounds
@@ -223,17 +213,35 @@ def test_exact_order_loop_is_a_bounded_oracle(name, seed, size, count):
 
 
 def test_pr_ranks_do_not_follow_out_dict_order():
-    """A tracked graph inserts new out-edges sorted by target, an untracked
-    one in arrival order; ``pr`` reads no order of the graph's, so both give
-    equal RunMetrics and bit-identical ranks."""
-    config = RunConfig(dataset="wiki", batch_size=1_000, num_batches=3)
-    tracked = AdjacencyListGraph(get_dataset("wiki").num_vertices, keep_in_lists=False)
-    tracked.track_deltas(True)
-    pipelines = [config.build_pipeline(), config.build_pipeline(graph=tracked)]
-    metrics = [p.run(3) for p in pipelines]
-    assert metrics[0] == metrics[1]
-    ranks = [p.compute.engine.as_array() for p in pipelines]
-    assert np.array_equal(*ranks)
+    """``pr`` reads no order of the graph's: fed each wiki batch reversed, a
+    graph stores every vertex's new targets in the opposite order, and the
+    engine's counters and ranks stay bit-identical.  The dict oracle graph,
+    read through the default segments built from its dicts, agrees too."""
+    n = get_dataset("wiki").num_vertices
+    graphs = [
+        AdjacencyListGraph(n, keep_in_lists=False),
+        AdjacencyListGraph(n, keep_in_lists=False),
+        ReferenceAdjacencyListGraph(n),
+    ]
+    engines = [IncrementalPageRank(graph) for graph in graphs]
+    for batch in _profile_stream("wiki", 7, 1_000, 3):
+        reversed_batch = make_batch(
+            batch.src[::-1], batch.dst[::-1], batch.weight[::-1],
+            batch_id=batch.batch_id,
+        )
+        got = []
+        for graph, engine, fed in zip(
+            graphs, engines, (batch, reversed_batch, batch)
+        ):
+            graph.apply_batch(fed)
+            got.append(engine.on_batch(fed.unique_vertices(), [fed]))
+        assert got[0] == got[1] == got[2]
+        assert np.array_equal(engines[0].as_array(), engines[1].as_array())
+        assert np.array_equal(engines[0].as_array(), engines[2].as_array())
+    segments = [graph.out_segments() for graph in graphs[:2]]
+    orders = [s.targets[s.positions()] for s in segments]
+    assert not np.array_equal(*orders)
+    assert np.array_equal(*(np.sort(order) for order in orders))
 
 
 def _counter(telemetry, name):
@@ -320,7 +328,7 @@ def test_round_covering_a_merge_then_list_edits_needs_no_rebuild():
     small one: the small one's list edits are folded into the merged CSR
     before the guard compares its in-lengths with the graph's."""
     graph, telemetry, call = _oracle_pair(8, tolerance=0.0)
-    with _in_csr(3, pagerank.FOLD_MAX_PENDING, pagerank._SCAN_PER_PUSHED_EDGE):
+    with _in_csr(3, pagerank.FOLD_MAX_PENDING):
         large = _apply(graph, [0, 1, 2, 3], [1, 2, 3, 4], 0)
         small = _apply(graph, [4], [5], 1)
         call([0, 1, 2, 3, 4, 5], [large, small], ALL_SCALAR)

@@ -1,14 +1,14 @@
 """Parity tests for the wall-clock perf layer.
 
-The optimized substrate paths (vectorized ingest, delta CSR snapshots, the
-parallel workload executor, the on-disk stream cache) must be *invisible*
-semantically: every test here pins an optimized path against its reference
-implementation and requires bit-identical results — same dtypes, same
-values, same ordering.
+The optimized substrate paths (vectorized segment ingest, gathered CSR
+snapshots, the parallel workload executor, the on-disk stream cache) must
+be *invisible* semantically: every test here pins an optimized path against
+its reference implementation and requires bit-identical results — same
+dtypes, same values, same ordering.
 """
 
+import contextlib
 import functools
-import os
 import pickle
 from unittest import mock
 
@@ -23,11 +23,11 @@ from repro.datasets.stream_cache import cached_batches, cache_stats, clear_cache
 from repro.errors import ConfigurationError
 from repro.graph import adjacency_list
 from repro.graph.adjacency_list import AdjacencyListGraph
-from repro.graph.base import GraphDelta
 from repro.graph.reference import ReferenceAdjacencyListGraph
 from repro.graph.snapshot import CSRSnapshot, DeltaSnapshotter, take_snapshot
 from repro.pipeline.config import RunConfig
 from repro.pipeline.executor import CellSpec, mp_context, run_matrix
+from repro.telemetry.core import NULL_TELEMETRY
 from test_pipeline_parity import capture_parity
 
 N_VERTICES = 24
@@ -57,18 +57,34 @@ def _small_universe_sequence(universe):
 
 
 #: Streams on all of N_VERTICES, or on 4 of them, where nearly every batch
-#: re-weights, deletes and re-inserts pairs the previous ones stored.
+#: repeats, re-weights, deletes and re-inserts pairs the previous ones
+#: stored.
 snapshot_sequence_strategy = st.one_of(
     sequence_strategy, _small_universe_sequence(4)
 )
 
 
-def _to_batch(edge_list, batch_id):
+def _to_batch(edge_list, batch_id, integer_weights=False):
     src = [e[0] for e in edge_list]
     dst = [e[1] for e in edge_list]
     weight = [float((u * 31 + v * 7 + salt) % 9 + 1) for u, v, salt, __ in edge_list]
     deletes = [d for __, __, __, d in edge_list]
-    return make_batch(src, dst, weight, batch_id=batch_id, is_delete=deletes)
+    batch = make_batch(src, dst, weight, batch_id=batch_id, is_delete=deletes)
+    if integer_weights:
+        batch = Batch(batch_id, batch.src, batch.dst, batch.weight.astype(np.int64),
+                      batch.is_delete)
+    return batch
+
+
+@contextlib.contextmanager
+def _tight_pool(tight=True):
+    """Segments whose first capacity is 1, so they move on every early
+    growth."""
+    if not tight:
+        yield
+        return
+    with mock.patch.object(adjacency_list, "MIN_CAPACITY", 1):
+        yield
 
 
 def _assert_snapshots_identical(a: CSRSnapshot, b: CSRSnapshot):
@@ -79,39 +95,87 @@ def _assert_snapshots_identical(a: CSRSnapshot, b: CSRSnapshot):
         assert np.array_equal(left, right), field
 
 
-# -- delta snapshots vs full rebuilds -----------------------------------------
+def _assert_stats_identical(mine, ref):
+    for field in ("vertices", "batch_degree", "length_before", "new_edges"):
+        left, right = getattr(mine, field), getattr(ref, field)
+        assert left.dtype == right.dtype, field
+        assert np.array_equal(left, right), field
 
 
-@given(snapshot_sequence_strategy, st.booleans())
+def _items(view):
+    """Each non-empty entry of a mapping as its ordered item list."""
+    return {v: list(entry.items()) for v, entry in view.items() if entry}
+
+
+def _assert_same_graph(graph, ref):
+    """``graph`` holds what the dict oracle ``ref`` holds: each vertex's
+    entries in the same order (the in-direction's content only when
+    ``graph`` keeps no in-lists), both degree arrays, the edge count and
+    the touched vertices."""
+    assert graph.num_edges == ref.num_edges
+    assert graph.out_degrees().tolist() == ref.out_degrees().tolist()
+    assert graph.in_degrees().tolist() == ref.in_degrees().tolist()
+    assert graph.vertices_with_edges() == ref.vertices_with_edges()
+    out, inn = graph.adjacency_views()
+    ref_out, ref_in = ref.adjacency_views()
+    assert _items(out) == _items(ref_out)
+    if graph.keeps_in_lists:
+        assert _items(inn) == _items(ref_in)
+    else:
+        assert {v: dict(e) for v, e in _items(inn).items()} == {
+            v: dict(e) for v, e in _items(ref_in).items()
+        }
+
+
+def _apply_both(graph, ref, batch):
+    """Apply ``batch`` to both graphs and check the stats and the state."""
+    mine, want = graph.apply_batch(batch), ref.apply_batch(batch)
+    _assert_stats_identical(mine.out, want.out)
+    _assert_stats_identical(mine.inn, want.inn)
+    assert mine.deleted_edges == want.deleted_edges
+    _assert_same_graph(graph, ref)
+
+
+# -- segment storage vs the dict oracle ----------------------------------------
+
+
+@given(snapshot_sequence_strategy, st.booleans(), st.booleans(), st.booleans())
 @settings(max_examples=50, deadline=None)
-def test_delta_snapshot_matches_full_rebuild(sequence, keep_in_lists):
-    """Patched snapshots are bit-identical to full rebuilds after every batch
-    of a randomized insert/delete/duplicate-heavy stream, on graphs with
-    and without in-lists.  The snapshotter attaches to an empty graph, so
-    every snapshot, the first included, is a splice."""
-    graph = AdjacencyListGraph(N_VERTICES, keep_in_lists=keep_in_lists)
-    snapper = DeltaSnapshotter(graph)
-    for batch_id, edge_list in enumerate(sequence):
-        graph.apply_batch(_to_batch(edge_list, batch_id))
-        _assert_snapshots_identical(snapper.snapshot(), take_snapshot(graph))
+def test_delta_snapshot_matches_full_rebuild(
+    sequence, keep_in_lists, integer_weights, tight
+):
+    """After every batch of a randomized insert/delete/duplicate-heavy
+    stream, the segment graph equals the dict oracle (stats, entry order,
+    degrees) and its gathered snapshot equals ``take_snapshot`` of the
+    oracle, on graphs with and without in-lists, with float or integer
+    weights, and with a pool that moves segments at every early growth.
+    Every snapshot is a gather."""
+    with _tight_pool(tight):
+        graph = AdjacencyListGraph(N_VERTICES, keep_in_lists=keep_in_lists)
+        ref = ReferenceAdjacencyListGraph(N_VERTICES)
+        snapper = DeltaSnapshotter(graph)
+        for batch_id, edge_list in enumerate(sequence):
+            _apply_both(graph, ref, _to_batch(edge_list, batch_id, integer_weights))
+            _assert_snapshots_identical(snapper.snapshot(), take_snapshot(ref))
     assert (snapper.full_rebuilds, snapper.delta_patches) == (0, len(sequence))
 
 
 @given(snapshot_sequence_strategy, st.booleans(), st.data())
 @settings(max_examples=25, deadline=None)
 def test_delta_snapshot_with_skipped_batches(sequence, keep_in_lists, data):
-    """Journals accumulated over several batches patch correctly too: the
-    snapshots fall after drawn batches, so one window spans up to six."""
+    """Snapshots that fall after drawn batches, so that one spans up to six,
+    equal the oracle's."""
     graph = AdjacencyListGraph(N_VERTICES, keep_in_lists=keep_in_lists)
+    ref = ReferenceAdjacencyListGraph(N_VERTICES)
     snapper = DeltaSnapshotter(graph)
     taken = data.draw(st.lists(
         st.booleans(), min_size=len(sequence), max_size=len(sequence)
     ))
     for batch_id, edge_list in enumerate(sequence):
-        graph.apply_batch(_to_batch(edge_list, batch_id))
+        _apply_both(graph, ref, _to_batch(edge_list, batch_id))
         if taken[batch_id]:
-            _assert_snapshots_identical(snapper.snapshot(), take_snapshot(graph))
-    _assert_snapshots_identical(snapper.snapshot(), take_snapshot(graph))
+            _assert_snapshots_identical(snapper.snapshot(), take_snapshot(ref))
+    _assert_snapshots_identical(snapper.snapshot(), take_snapshot(ref))
     assert snapper.full_rebuilds == 0
 
 
@@ -150,133 +214,175 @@ SPLICE_CASES = {
 def test_splice_follows_a_pairs_edits_within_and_across_windows(
     case, window, keep_in_lists,
 ):
-    """A pair's edits resolve alike whether one window holds them or they
-    span several batches: snapshots after every ``window`` batches equal
-    full rebuilds."""
+    """A pair's edits resolve as the dict oracle's do whether one batch or
+    several hold them (the cases once pinned a journal splice): the graph
+    equals the oracle after every batch, and snapshots taken every
+    ``window`` batches equal the oracle's."""
     graph = AdjacencyListGraph(N_VERTICES, keep_in_lists=keep_in_lists)
+    ref = ReferenceAdjacencyListGraph(N_VERTICES)
     snapper = DeltaSnapshotter(graph)
     for batch_id, edges in enumerate(SPLICE_CASES[case]):
         src, dst, weight, deletes = zip(*edges)
-        graph.apply_batch(make_batch(
+        _apply_both(graph, ref, make_batch(
             src, dst, weight, batch_id=batch_id, is_delete=deletes
         ))
         if (batch_id + 1) % window == 0:
-            _assert_snapshots_identical(snapper.snapshot(), take_snapshot(graph))
-    _assert_snapshots_identical(snapper.snapshot(), take_snapshot(graph))
+            _assert_snapshots_identical(snapper.snapshot(), take_snapshot(ref))
+    _assert_snapshots_identical(snapper.snapshot(), take_snapshot(ref))
     assert snapper.full_rebuilds == 0
 
 
 @pytest.mark.parametrize("keep_in_lists", [True, False])
 def test_integer_weights_splice_like_float_ones(keep_in_lists):
     """A batch may carry integer weights, whose small values Python caches
-    as shared objects; the tracked merge still tells a re-inserted pair
-    from a new one, in its journal and in the derived in-degrees."""
+    as shared objects; the merge still tells a re-inserted pair from a new
+    one, in the stats and the derived in-degrees, and stores the weights
+    as floats, as the oracle's snapshot does."""
     graph = AdjacencyListGraph(N_VERTICES, keep_in_lists=keep_in_lists)
+    ref = ReferenceAdjacencyListGraph(N_VERTICES)
     snapper = DeltaSnapshotter(graph)
     for batch_id in range(3):
-        graph.apply_batch(Batch(
+        _apply_both(graph, ref, Batch(
             batch_id, np.array([1, 1, 2]), np.array([2, 3, 1]),
             np.array([1, 2 + batch_id, 1]),
         ))
-        _assert_snapshots_identical(snapper.snapshot(), take_snapshot(graph))
+        _assert_snapshots_identical(snapper.snapshot(), take_snapshot(ref))
     assert graph.num_edges == 3
     assert graph.in_degrees()[[1, 2, 3]].tolist() == [1, 1, 1]
 
 
+def test_tight_pool_moves_segments():
+    """With capacity-1 first segments, a stream whose vertices grow, shrink
+    and grow again moves segments many times, and still equals the oracle
+    after every batch."""
+    moves = []
+    move = adjacency_list._Pool._move
+
+    def counted(pool, verts, need):
+        moves.append(len(verts))
+        move(pool, verts, need)
+
+    rng = np.random.default_rng(5)
+    with _tight_pool(), mock.patch.object(adjacency_list._Pool, "_move", counted):
+        graph = AdjacencyListGraph(N_VERTICES)
+        ref = ReferenceAdjacencyListGraph(N_VERTICES)
+        for batch_id in range(30):
+            size = 50
+            _apply_both(graph, ref, make_batch(
+                rng.integers(0, 6, size), rng.integers(0, N_VERTICES, size),
+                rng.integers(1, 4, size), batch_id=batch_id,
+                is_delete=rng.random(size) < 0.4,
+            ))
+    assert len(moves) > 10
+
+
+def test_serve_shaped_stream_counts_each_distinct_live_pair_once():
+    """fb at serve's micro-batch shape, 60-edge batches x 1200, with pairs
+    repeated inside a batch, re-sent in later batches, deleted and
+    re-inserted: every out- and in-degree equals the number of distinct
+    live pairs at that vertex (the rule serve's ``degree`` answers are
+    checked by), and the state equals the dict oracle's."""
+    n = get_dataset("fb").num_vertices
+    generator = get_dataset("fb").generator(seed=28)
+    rng = np.random.default_rng(28)
+    graph = AdjacencyListGraph(n, keep_in_lists=False)
+    ref = ReferenceAdjacencyListGraph(n)
+    live: set[tuple[int, int]] = set()
+    sent: list[tuple[int, int]] = []
+    for batch_id in range(1_200):
+        fresh = generator.generate_batch(batch_id, 40)
+        pairs = list(zip(fresh.src.tolist(), fresh.dst.tolist()))
+        pairs += [pairs[i] for i in rng.integers(0, len(pairs), 8)]
+        if sent:
+            pairs += [sent[i] for i in rng.integers(0, len(sent), 6)]
+        deletes = [sent[i] for i in rng.integers(0, len(sent), 6)] if sent else []
+        src, dst = zip(*(pairs + deletes))
+        graph.apply_batch(make_batch(
+            src, dst, batch_id=batch_id,
+            is_delete=[False] * len(pairs) + [True] * len(deletes),
+        ))
+        ref.apply_batch(make_batch(
+            src, dst, batch_id=batch_id,
+            is_delete=[False] * len(pairs) + [True] * len(deletes),
+        ))
+        live.update(pairs)
+        live.difference_update(deletes)
+        sent += pairs
+        if batch_id % 100 == 99:
+            live_src, live_dst = (np.array(side) for side in zip(*live))
+            assert graph.out_degrees().tolist() == np.bincount(
+                live_src, minlength=n).tolist()
+            assert graph.in_degrees().tolist() == np.bincount(
+                live_dst, minlength=n).tolist()
+    assert graph.num_edges == len(live)
+    _assert_same_graph(graph, ref)
+
+
 def test_checkpoints_with_in_direction_state_still_resume():
-    """Pickles from before out-only tracking carry an in-CSR on the cached
-    snapshot and an in-direction journal on the graph.  They load, the
-    extra state is ignored, and the pending out-journal still patches
-    bit-identically."""
-    graph = AdjacencyListGraph(N_VERTICES)
-    snapper = DeltaSnapshotter(graph)
-    graph.apply_batch(make_batch([0, 0, 3, 2], [1, 2, 1, 0]))
-    snapper.snapshot()
-    graph.apply_batch(make_batch(
-        [0, 1, 0, 3], [5, 3, 1, 1], [1.0, 1.0, 4.0, 1.0], batch_id=1,
-        is_delete=[False, False, False, True],
-    ))
-    # Reshape into the old layout, with a journal still pending.
-    for name in ("in_offsets", "in_sources", "in_weights"):
-        object.__setattr__(snapper._prev, name, np.zeros(1))
-    in_journal = [(np.array([3]), np.array([1]), np.array([1.0]))]
-    graph._journal_in, graph._stale_in = in_journal, {1}
+    """Pickles from before segment storage hold per-vertex dicts, a pending
+    out-journal and, older still, an in-CSR on the cached snapshot and an
+    in-direction journal.  They load with the dicts as segments in their
+    own order, the rest dropped, and keep ingesting and snapshotting like
+    the oracle."""
+    ref = ReferenceAdjacencyListGraph(N_VERTICES)
+    batches = [
+        make_batch([0, 0, 3, 2], [1, 2, 1, 0]),
+        make_batch(
+            [0, 1, 0, 3], [5, 3, 1, 1], [1.0, 1.0, 4.0, 1.0], batch_id=1,
+            is_delete=[False, False, False, True],
+        ),
+    ]
+    for batch in batches:
+        ref.apply_batch(batch)
+    graph = AdjacencyListGraph.__new__(AdjacencyListGraph)
+    old_state = dict(
+        num_vertices=N_VERTICES, num_edges=ref.num_edges, batches_applied=2,
+        _out={v: dict(e) for v, e in ref._out.items()},
+        _in={v: dict(e) for v, e in ref._in.items()},
+        _deg_out=ref._deg_out.copy(), _deg_in=ref._deg_in.copy(),
+        _track=True, _delta_invalid=False, _touched=set(ref._touched),
+        _touched_sorted=None,
+        _journal_out=[(np.array([0]), np.array([5]), np.array([1.0]))],
+        _journal_in=[(np.array([3]), np.array([1]), np.array([1.0]))],
+        _stale_in={1},
+    )
+    snapper = DeltaSnapshotter.__new__(DeltaSnapshotter)
+    snapper.__dict__.update(
+        graph=graph, telemetry=NULL_TELEMETRY,
+        full_rebuilds=1, delta_patches=1, rebuild_fraction=0.1,
+        _prev=take_snapshot(ref),
+    )
+    graph.__dict__.update(old_state)
     restored = pickle.loads(pickle.dumps(snapper))
-    restored.graph.apply_batch(make_batch(
-        [4, 0], [0, 2], batch_id=2, is_delete=[False, True]
+    assert not hasattr(restored, "_prev")
+    _assert_same_graph(restored.graph, ref)
+    _apply_both(restored.graph, ref, make_batch(
+        [4, 0, 2], [0, 2, 0], batch_id=2, is_delete=[False, True, False]
     ))
-    _assert_snapshots_identical(restored.snapshot(), take_snapshot(restored.graph))
-    # Both snapshots spliced: the first from the empty CSR.
-    assert (restored.full_rebuilds, restored.delta_patches) == (0, 2)
+    _assert_snapshots_identical(restored.snapshot(), take_snapshot(ref))
+    assert (restored.full_rebuilds, restored.delta_patches) == (1, 2)
 
 
 # -- vectorized ingest vs the seed loop ---------------------------------------
 
 
-def _assert_stats_identical(mine, ref):
-    for field in ("vertices", "batch_degree", "length_before", "new_edges"):
-        left, right = getattr(mine, field), getattr(ref, field)
-        assert left.dtype == right.dtype, field
-        assert np.array_equal(left, right), field
-
-
-def _assert_degrees_match_views(graph):
-    views = graph.adjacency_views()
-    for degrees, view in zip((graph.out_degrees(), graph.in_degrees()), views):
-        want = [len(view.get(v, {})) for v in range(graph.num_vertices)]
-        assert degrees.tolist() == want
-
-
-def _nonempty(view):
-    return {v: entry for v, entry in view.items() if entry}
-
-
-@pytest.mark.parametrize("tracked, keep_in_lists", [
-    pytest.param(False, True, id="untracked"),
-    pytest.param(True, True, id="tracked"),
-    pytest.param(False, False, id="out-only"),
-    pytest.param(True, False, id="out-only-tracked"),
+@pytest.mark.parametrize("keep_in_lists", [
+    pytest.param(True, id="untracked"),
+    pytest.param(False, id="out-only"),
 ])
 @given(sequence=sequence_strategy)
 @settings(max_examples=50, deadline=None)
-def test_vectorized_ingest_matches_reference(sequence, tracked, keep_in_lists):
-    """The vectorized `_apply_direction` reproduces the seed loop exactly:
-    DirectionStats arrays (dtype and values), adjacency content, degree
-    caches (checked against the views after every batch, deletes
-    included), touched vertices, edge counts, and per-vertex dict item
-    order.  Tracking journals the out-direction only: the in-direction
-    keeps the seed loop's first-occurrence order either way, while the
-    tracked out-direction inserts each vertex's new targets in ascending
-    order.  A graph without in-lists derives the in-direction's stats
-    from the out-merge; its in-mapping is built from the out-dicts, so
-    only its content is compared."""
-    vec = AdjacencyListGraph(N_VERTICES, keep_in_lists=keep_in_lists)
-    vec.track_deltas(tracked)
+def test_vectorized_ingest_matches_reference(sequence, keep_in_lists):
+    """The vectorized segment merge reproduces the seed loop exactly:
+    DirectionStats arrays (dtype and values), each vertex's entries and
+    their order, degree arrays, touched vertices and edge counts, checked
+    after every batch, deletes included.  A graph without in-lists derives
+    the in-direction's stats from the out-merge; its in-mapping is built
+    from the out-segments, so only its content is compared."""
+    graph = AdjacencyListGraph(N_VERTICES, keep_in_lists=keep_in_lists)
     ref = ReferenceAdjacencyListGraph(N_VERTICES)
     for batch_id, edge_list in enumerate(sequence):
-        batch = _to_batch(edge_list, batch_id)
-        stats_vec = vec.apply_batch(batch)
-        stats_ref = ref.apply_batch(batch)
-        _assert_stats_identical(stats_vec.out, stats_ref.out)
-        _assert_stats_identical(stats_vec.inn, stats_ref.inn)
-        assert stats_vec.deleted_edges == stats_ref.deleted_edges
-        _assert_degrees_match_views(vec)
-        assert vec.in_degrees().tolist() == ref.in_degrees().tolist()
-        assert vec.vertices_with_edges() == ref.vertices_with_edges()
-    assert vec.num_edges == ref.num_edges
-    out_vec, in_vec = vec.adjacency_views()
-    out_ref, in_ref = ref.adjacency_views()
-    assert out_vec == out_ref
-    if keep_in_lists:
-        assert in_vec == in_ref
-        for v, entry in in_vec.items():
-            assert list(entry.items()) == list(in_ref[v].items())
-    else:
-        assert _nonempty(in_vec) == _nonempty(in_ref)
-    if not tracked:
-        for v, entry in out_vec.items():
-            assert list(entry.items()) == list(out_ref[v].items())
-    assert vec.vertices_with_edges() == ref.vertices_with_edges()
+        _apply_both(graph, ref, _to_batch(edge_list, batch_id))
 
 
 # -- deletes: explicit cases ----------------------------------------------------
@@ -286,82 +392,72 @@ _OutOnlyGraph = functools.partial(AdjacencyListGraph, keep_in_lists=False)
 
 #: Every ingest path a delete can follow.
 DELETE_GRAPHS = [
-    pytest.param(AdjacencyListGraph, False, id="dict"),
-    pytest.param(AdjacencyListGraph, True, id="dict-tracked"),
-    pytest.param(_OutOnlyGraph, False, id="out-only"),
-    pytest.param(_OutOnlyGraph, True, id="out-only-tracked"),
-    pytest.param(ReferenceAdjacencyListGraph, False, id="reference"),
+    pytest.param(AdjacencyListGraph, id="dict"),
+    pytest.param(_OutOnlyGraph, id="out-only"),
+    pytest.param(ReferenceAdjacencyListGraph, id="reference"),
 ]
 
 
-def _apply_delete_case(cls, tracked, batches):
+def _apply_delete_case(cls, batches):
     graph = cls(N_VERTICES)
-    graph.track_deltas(tracked)
+    ref = ReferenceAdjacencyListGraph(N_VERTICES)
     stats = []
     for batch_id, (src, dst, weight, deletes) in enumerate(batches):
-        graph.consume_delta()
-        stats.append(graph.apply_batch(make_batch(
-            src, dst, weight, batch_id=batch_id, is_delete=deletes
-        )))
-        _assert_degrees_match_views(graph)
-    assert adjacency_list._EMPTY == {}
+        batch = make_batch(src, dst, weight, batch_id=batch_id, is_delete=deletes)
+        stats.append(graph.apply_batch(batch))
+        ref.apply_batch(batch)
+        _assert_same_graph(graph, ref)
     return graph, stats
 
 
-def _items(view, v):
+def _entries(view, v):
     return list(view.get(v, {}).items())
 
 
-@pytest.mark.parametrize("cls, tracked", DELETE_GRAPHS)
-def test_duplicate_delete_in_one_batch_removes_once(cls, tracked):
-    graph, stats = _apply_delete_case(cls, tracked, [
+@pytest.mark.parametrize("cls", DELETE_GRAPHS)
+def test_duplicate_delete_in_one_batch_removes_once(cls):
+    graph, stats = _apply_delete_case(cls, [
         ([1, 1], [2, 3], [1.0, 2.0], None),
         ([1, 1], [2, 2], None, [True, True]),
     ])
     assert stats[1].deleted_edges == 1
     assert graph.num_edges == 1
     out_view, in_view = graph.adjacency_views()
-    assert _items(out_view, 1) == [(3, 2.0)]
-    assert _items(in_view, 2) == []
-    if tracked:
-        delta = graph.consume_delta()
-        assert delta.kinds.tolist() == [GraphDelta.DELETE]
-        assert (delta.owners.tolist(), delta.targets.tolist()) == ([1], [2])
+    assert _entries(out_view, 1) == [(3, 2.0)]
+    assert _entries(in_view, 2) == []
 
 
-@pytest.mark.parametrize("cls, tracked", DELETE_GRAPHS)
-def test_deleting_absent_edges_and_unseen_vertices_is_a_no_op(cls, tracked):
-    graph, stats = _apply_delete_case(cls, tracked, [
+@pytest.mark.parametrize("cls", DELETE_GRAPHS)
+def test_deleting_absent_edges_and_unseen_vertices_is_a_no_op(cls):
+    graph, stats = _apply_delete_case(cls, [
         ([1], [2], [1.0], None),
         ([1, 2, 7], [5, 1, 8], None, [True, True, True]),
     ])
     assert stats[1].deleted_edges == 0
     assert graph.num_edges == 1
     out_view, in_view = graph.adjacency_views()
-    assert _items(out_view, 1) == [(2, 1.0)]
+    assert _entries(out_view, 1) == [(2, 1.0)]
     assert 7 not in out_view and 8 not in in_view
     assert graph.vertices_with_edges() == [1, 2]
-    if tracked:
-        assert len(graph.consume_delta().kinds) == 0
 
 
-@pytest.mark.parametrize("cls, tracked", DELETE_GRAPHS)
-def test_self_loop_delete(cls, tracked):
-    graph, stats = _apply_delete_case(cls, tracked, [
+@pytest.mark.parametrize("cls", DELETE_GRAPHS)
+def test_self_loop_delete(cls):
+    graph, stats = _apply_delete_case(cls, [
         ([4, 4], [4, 1], [3.0, 1.0], None),
         ([4], [4], None, [True]),
     ])
     assert stats[1].deleted_edges == 1
     out_view, in_view = graph.adjacency_views()
-    assert _items(out_view, 4) == [(1, 1.0)]
-    assert _items(in_view, 4) == []
-    assert _items(in_view, 1) == [(4, 1.0)]
+    assert _entries(out_view, 4) == [(1, 1.0)]
+    assert _entries(in_view, 4) == []
+    assert _entries(in_view, 1) == [(4, 1.0)]
     assert graph.out_degrees()[4] == 1 and graph.in_degrees()[4] == 0
 
 
-@pytest.mark.parametrize("cls, tracked", DELETE_GRAPHS)
-def test_delete_then_reinsert_in_a_later_batch(cls, tracked):
-    graph, stats = _apply_delete_case(cls, tracked, [
+@pytest.mark.parametrize("cls", DELETE_GRAPHS)
+def test_delete_then_reinsert_in_a_later_batch(cls):
+    graph, stats = _apply_delete_case(cls, [
         ([1, 1], [2, 3], [1.0, 2.0], None),
         ([1], [2], None, [True]),
         ([1], [2], [5.0], None),
@@ -371,27 +467,8 @@ def test_delete_then_reinsert_in_a_later_batch(cls, tracked):
     assert graph.num_edges == 2
     out_view, in_view = graph.adjacency_views()
     # The re-inserted edge is new again: it lands at the end.
-    assert _items(out_view, 1) == [(3, 2.0), (2, 5.0)]
-    assert _items(in_view, 2) == [(1, 5.0)]
-
-
-def test_notify_external_mutation_resyncs_caches():
-    """Direct adjacency mutation + notify leaves all caches consistent."""
-    graph = AdjacencyListGraph(8)
-    graph.track_deltas(True)
-    graph.apply_batch(make_batch([0, 1], [1, 2]))
-    out, inn = graph.adjacency_views()
-    out.setdefault(5, {})[6] = 1.0  # bypasses apply_batch entirely
-    inn.setdefault(6, {})[5] = 1.0
-    graph.notify_external_mutation()
-    assert graph.num_edges == 3
-    assert 5 in graph.vertices_with_edges() and 6 in graph.vertices_with_edges()
-    # The delta journal can no longer vouch for the mutation: one None
-    # hand-back forces the snapshotter to rebuild from scratch.
-    assert graph.consume_delta() is None
-    _assert_snapshots_identical(
-        DeltaSnapshotter(graph).snapshot(), take_snapshot(graph)
-    )
+    assert _entries(out_view, 1) == [(3, 2.0), (2, 5.0)]
+    assert _entries(in_view, 2) == [(1, 5.0)]
 
 
 def _stream_with_deletes(dataset, batch_size, count):

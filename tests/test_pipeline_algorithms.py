@@ -1,14 +1,52 @@
 """Pipeline wiring of the extension algorithms and compute options."""
 
+from unittest import mock
+
+import numpy as np
 import pytest
 
 from repro.compute.oca import OCAConfig
+from repro.datasets.profiles import get_dataset
+from repro.datasets.stream import Batch
+from repro.pipeline.config import RunConfig
 from repro.pipeline.runner import ALGORITHMS, StreamingPipeline
 from repro.update.engine import UpdatePolicy
 
 
 def test_algorithm_list_includes_extensions():
     assert "bfs" in ALGORITHMS and "cc" in ALGORITHMS
+
+
+@pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+def test_no_timed_reader_materializes_dicts(algorithm):
+    """Every registered algorithm steps through a stream with deletes while
+    the pipeline graph's ``adjacency_views`` and ``out_neighbors`` raise:
+    the dict mappings are untimed copies for checks and tests, and no
+    timed reader may build them (a format whose kernels did lost pr-lj
+    2x, docs/MODEL.md)."""
+    generator = get_dataset("fb").generator(seed=11)
+    pipeline = RunConfig(
+        dataset="fb", batch_size=300, algorithm=algorithm, num_batches=4
+    ).build_pipeline()
+    previous = None
+    with mock.patch.object(
+        pipeline.graph, "adjacency_views", side_effect=AssertionError("views")
+    ), mock.patch.object(
+        pipeline.graph, "out_neighbors", side_effect=AssertionError("dict")
+    ):
+        for i in range(4):
+            batch = generator.generate_batch(i, 300)
+            if previous is not None:  # delete a fifth of the previous batch
+                batch = Batch(
+                    i, np.concatenate([batch.src, previous.src[:60]]),
+                    np.concatenate([batch.dst, previous.dst[:60]]),
+                    np.concatenate([batch.weight, previous.weight[:60]]),
+                    np.arange(360) >= 300,
+                )
+            pipeline.step(final=i == 3, batch=batch)
+            previous = batch
+    assert len(pipeline.metrics.batches) == 4
+    assert pipeline.graph.batches_applied == 4
 
 
 def test_bfs_pipeline_runs(flat_profile):
