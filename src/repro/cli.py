@@ -25,9 +25,9 @@ Commands:
   pluggable optimizer; trials are journaled so a killed search resumes
   (docs/TUNING.md).
 * ``serve`` — long-running live edge-ingest service: TCP line-JSON
-  clients stream edges through multi-tenant admission into micro-batches;
-  queries are answered from the latest snapshot
-  (docs/SERVE.md).
+  clients stream edges through one admission window (edges admitted but
+  not yet visible) into micro-batches; queries are answered from the
+  latest snapshot (docs/SERVE.md).
 * ``loadgen`` — synthetic multi-client driver for a running ``serve``.
 * ``cache`` — inspect or clear the on-disk stream cache.
 
@@ -365,14 +365,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if getattr(args, "telemetry", None) is None:
         args.telemetry = "basic"
     config = RunConfig.from_serve_args(args)
-    settings = ServeSettings.from_env(
+    settings = ServeSettings(
         batch_target=args.serve_batch or args.batch_size,
         queue_depth=args.queue_depth,
         max_pending=args.max_pending,
-        fair_share=args.fair_share,
-        rate=args.rate,
-        burst=args.burst,
-        max_delay=args.max_delay,
     )
     if args.checkpoint:
         settings.checkpoint_dir = args.checkpoint
@@ -469,6 +465,7 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
     summary = {
         "clients": report["clients"],
         "edges sent": report["edges_sent"],
+        "rejected requests": report["rejected_requests"],
         "wall (s)": report["wall_seconds"],
         "edges/s": report["edges_per_second"],
         "requests/s": report["requests_per_second"],
@@ -877,36 +874,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--serve-batch", type=int, default=None, metavar="EDGES",
-        help="micro-batch target size (default: --batch-size or "
-        "$REPRO_SERVE_BATCH)",
+        help="micro-batch target size (default: --batch-size)",
     )
     serve.add_argument(
-        "--queue-depth", type=int, default=None, metavar="N",
-        help="bounded hand-off queue length in batches ($REPRO_SERVE_QUEUE)",
+        "--queue-depth", type=int, default=8, metavar="N",
+        help="bounded hand-off queue length in batches (default: 8)",
     )
     serve.add_argument(
-        "--max-pending", type=int, default=None, metavar="EDGES",
-        help="global admitted-but-not-visible cap "
-        "($REPRO_SERVE_MAX_PENDING; default: 200000)",
-    )
-    serve.add_argument(
-        "--fair-share", type=float, default=None, metavar="FRAC",
-        help="fraction of the pending window one tenant may hold "
-        "($REPRO_SERVE_FAIR_SHARE; default: 0.5)",
-    )
-    serve.add_argument(
-        "--rate", type=float, default=None, metavar="EPS",
-        help="per-tenant token-bucket rate in edges/s "
-        "($REPRO_SERVE_RATE; default: 0 = unlimited)",
-    )
-    serve.add_argument(
-        "--burst", type=float, default=None, metavar="EDGES",
-        help="per-tenant bucket capacity ($REPRO_SERVE_BURST)",
-    )
-    serve.add_argument(
-        "--max-delay", type=float, default=None, metavar="SECONDS",
-        help="rate-limit waits longer than this reject with retry_after "
-        "($REPRO_SERVE_MAX_DELAY; default: 5)",
+        "--max-pending", type=int, default=200_000, metavar="EDGES",
+        help="admission window: edges admitted but not yet visible "
+        "(default: 200000)",
     )
     serve.add_argument(
         "--checkpoint", metavar="DIR",

@@ -2,11 +2,11 @@
 
 The batch CLI replays a pre-materialized stream; this package accepts the
 stream *live*.  An asyncio TCP server (:mod:`repro.serve.server`) takes
-line-JSON edge submissions from many concurrent clients, runs them through
-multi-tenant admission control (:mod:`repro.serve.admission`: token-bucket
-rate limiting, a per-tenant fairness cap, and global backpressure), cuts
-them into micro-batches (at a size cap, or at once when the pipeline is
-idle), and drives the existing
+line-JSON edge submissions from many concurrent clients, admits them
+through one pending window (:mod:`repro.serve.admission`: a submission
+that would overfill the window of admitted-but-not-yet-visible edges
+waits), cuts them into micro-batches (at a size cap, or at once when the
+pipeline is idle), and drives the existing
 :class:`~repro.pipeline.runner.StreamingPipeline` one
 :meth:`~repro.pipeline.runner.StreamingPipeline.step` at a time on a
 dedicated thread.  Queries (PageRank top-k, triangle count, vertex degree)
@@ -18,7 +18,7 @@ generator behind ``repro loadgen``; :mod:`repro.serve.smoke` is the
 end-to-end smoke (``make serve-smoke``).
 """
 
-from .admission import AdmissionController, MicroBatcher, TokenBucket
+from .admission import AdmissionController, MicroBatcher
 from .client import ServeClient, run_loadgen
 from .server import ServeServer, ServeSettings, start_server_thread
 
@@ -28,7 +28,6 @@ __all__ = [
     "ServeClient",
     "ServeServer",
     "ServeSettings",
-    "TokenBucket",
     "run_loadgen",
     "start_server_thread",
 ]

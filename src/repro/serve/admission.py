@@ -1,19 +1,17 @@
-"""Multi-tenant admission control and micro-batching.
+"""Admission control and micro-batching.
 
 Two concerns, deliberately separated from the network layer so both are
-unit-testable with an injected clock:
+unit-testable:
 
 * :class:`AdmissionController` decides whether an ``edges`` submission may
-  enter the ingest buffer *right now*.  Three gates apply, in order:
-  a per-tenant token bucket (rate limiting — waiting longer than
-  ``max_delay`` converts into an explicit ``rate_limited`` rejection with a
-  ``retry_after`` hint), a per-tenant fairness cap (no tenant may occupy
-  more than ``fair_share`` of the pending window, so one hot client cannot
-  starve the rest), and a global pending cap (classic backpressure: the
-  submission waits until the pipeline has made earlier edges visible).
-  "Pending" is measured end to end — admitted but not yet visible in a
-  completed pipeline step — so backpressure reflects real ingest lag, not
-  just buffer occupancy.
+  enter the ingest buffer *right now*.  It keeps one global pending
+  window: edges admitted but not yet visible in a completed pipeline
+  step.  A submission that would overfill the window waits (backpressure)
+  until the pipeline has made earlier edges visible; one larger than the
+  whole window is refused as ``too_large``, and once shutdown begins every
+  submission is refused as ``draining``.  "Pending" is measured end to
+  end, so backpressure reflects real ingest lag, not just buffer
+  occupancy, and the window bounds the memory admitted edges hold.
 
 * :class:`MicroBatcher` accumulates admitted edges in arrival order and
   calls for a cut once the buffer reaches ``target_edges``.  Time never
@@ -33,7 +31,7 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,53 +42,10 @@ __all__ = [
     "AdmissionDecision",
     "MicroBatcher",
     "PendingBatch",
-    "TokenBucket",
 ]
 
-#: Suggested re-poll delay for wait-style (non-rejecting) admission gates.
+#: Suggested re-poll delay while the pending window is full.
 _POLL_DELAY = 0.01
-
-
-class TokenBucket:
-    """A standard token bucket; ``rate <= 0`` means unlimited.
-
-    Args:
-        rate: tokens (edges) replenished per second.
-        burst: bucket capacity (maximum instantaneous debt).
-    """
-
-    def __init__(self, rate: float, burst: float):
-        if rate > 0 and burst <= 0:
-            raise ConfigurationError(
-                f"token bucket burst must be positive, got {burst}"
-            )
-        self.rate = float(rate)
-        self.burst = float(burst)
-        self._tokens = float(burst)
-        self._stamp: float | None = None
-
-    def _refill(self, now: float) -> None:
-        if self._stamp is not None and now > self._stamp:
-            self._tokens = min(
-                self.burst, self._tokens + (now - self._stamp) * self.rate
-            )
-        self._stamp = now
-
-    def delay(self, n: int, now: float) -> float:
-        """Seconds until ``n`` tokens are available (0.0 = available now)."""
-        if self.rate <= 0:
-            return 0.0
-        self._refill(now)
-        if self._tokens >= n:
-            return 0.0
-        return (n - self._tokens) / self.rate
-
-    def take(self, n: int, now: float) -> None:
-        """Consume ``n`` tokens (may go negative only via oversized bursts)."""
-        if self.rate <= 0:
-            return
-        self._refill(now)
-        self._tokens -= n
 
 
 @dataclass(frozen=True)
@@ -100,11 +55,11 @@ class AdmissionDecision:
     Attributes:
         admitted: the edges may enter the buffer now.
         delay: when not admitted and not rejected: suggested seconds to
-            wait before asking again (the gate is transient backpressure).
+            wait before asking again (the window is full: backpressure).
         reject: the submission should be refused outright; ``reason`` is
-            the protocol error code and ``delay`` the ``retry_after`` hint.
-        reason: ``""`` (admitted), ``"backpressure"``, ``"fairness"``,
-            ``"rate_limited"`` or ``"draining"``.
+            the protocol error code.
+        reason: ``""`` (admitted), ``"backpressure"``, ``"too_large"`` or
+            ``"draining"``.
     """
 
     admitted: bool
@@ -113,124 +68,51 @@ class AdmissionDecision:
     reason: str = ""
 
 
-@dataclass
-class _Tenant:
-    bucket: TokenBucket
-    pending: int = 0
-    admitted_edges: int = 0
-    rejected: int = 0
-
-
 class AdmissionController:
-    """Thread-safe multi-tenant admission over a shared pending window.
+    """Thread-safe admission through one pending window.
 
     The asyncio side calls :meth:`admit` (event loop thread); the pipeline
     driver calls :meth:`release` as batches become visible (driver
     thread), hence the lock.
 
     Args:
-        max_pending: global cap on admitted-but-not-yet-visible edges.
-        fair_share: fraction of ``max_pending`` one tenant may occupy.
-        rate: per-tenant token-bucket rate in edges/second (0 = unlimited).
-        burst: per-tenant bucket capacity (defaults to one second of rate).
-        max_delay: longest rate-limit wait tolerated before converting the
-            wait into an explicit ``rate_limited`` rejection.
-        clock: monotonic clock, injectable for tests.
+        max_pending: cap on admitted-but-not-yet-visible edges.
     """
 
-    def __init__(
-        self,
-        max_pending: int = 200_000,
-        fair_share: float = 0.5,
-        rate: float = 0.0,
-        burst: float | None = None,
-        max_delay: float = 5.0,
-        clock=time.monotonic,
-    ):
+    def __init__(self, max_pending: int = 200_000):
         if max_pending < 1:
             raise ConfigurationError(
                 f"max_pending must be >= 1, got {max_pending}"
             )
-        if not 0.0 < fair_share <= 1.0:
-            raise ConfigurationError(
-                f"fair_share must be in (0, 1], got {fair_share}"
-            )
         self.max_pending = int(max_pending)
-        self.fair_share = float(fair_share)
-        self.rate = float(rate)
-        self.burst = float(burst) if burst is not None else max(rate, 1.0)
-        self.max_delay = float(max_delay)
-        self._clock = clock
         self._lock = threading.Lock()
-        self._tenants: dict[str, _Tenant] = {}
         self.pending_total = 0
         self.draining = False
 
-    def _tenant(self, name: str) -> _Tenant:
-        tenant = self._tenants.get(name)
-        if tenant is None:
-            tenant = _Tenant(TokenBucket(self.rate, self.burst))
-            self._tenants[name] = tenant
-        return tenant
-
-    def admit(self, tenant_name: str, n: int, now: float | None = None) -> AdmissionDecision:
-        """Decide whether ``n`` edges from ``tenant_name`` may enter now."""
+    def admit(self, n: int) -> AdmissionDecision:
+        """Decide whether ``n`` edges may enter now."""
         if n < 1:
             raise ConfigurationError(f"edge count must be >= 1, got {n}")
-        now = self._clock() if now is None else now
         with self._lock:
             if self.draining:
                 return AdmissionDecision(
                     admitted=False, reject=True, reason="draining"
                 )
-            tenant = self._tenant(tenant_name)
             if n > self.max_pending:
-                tenant.rejected += 1
                 return AdmissionDecision(
                     admitted=False, reject=True, reason="too_large"
-                )
-            delay = tenant.bucket.delay(n, now)
-            if delay > 0.0:
-                if delay > self.max_delay:
-                    tenant.rejected += 1
-                    return AdmissionDecision(
-                        admitted=False, delay=delay, reject=True,
-                        reason="rate_limited",
-                    )
-                return AdmissionDecision(
-                    admitted=False, delay=delay, reason="rate_limited"
-                )
-            fair_cap = max(1, int(self.max_pending * self.fair_share))
-            if tenant.pending + n > fair_cap and any(
-                other.pending for name, other in self._tenants.items()
-                if name != tenant_name
-            ):
-                # Fairness only bites while others hold window space: a
-                # lone tenant may use the whole window (the global gate
-                # below still bounds it).
-                return AdmissionDecision(
-                    admitted=False, delay=_POLL_DELAY, reason="fairness"
                 )
             if self.pending_total + n > self.max_pending:
                 return AdmissionDecision(
                     admitted=False, delay=_POLL_DELAY, reason="backpressure"
                 )
-            tenant.bucket.take(n, now)
-            tenant.pending += n
-            tenant.admitted_edges += n
             self.pending_total += n
             return AdmissionDecision(admitted=True)
 
-    def release(self, counts: dict[str, int]) -> None:
-        """Mark per-tenant edge counts visible (frees pending window)."""
+    def release(self, n: int) -> None:
+        """Mark ``n`` admitted edges visible (frees pending window)."""
         with self._lock:
-            for name, n in counts.items():
-                tenant = self._tenants.get(name)
-                if tenant is not None:
-                    tenant.pending = max(0, tenant.pending - n)
-            self.pending_total = max(
-                0, self.pending_total - sum(counts.values())
-            )
+            self.pending_total = max(0, self.pending_total - n)
 
     def start_drain(self) -> None:
         """Refuse all future submissions (graceful-shutdown mode)."""
@@ -238,20 +120,12 @@ class AdmissionController:
             self.draining = True
 
     def stats(self) -> dict:
-        """Per-tenant and global admission statistics (for ``stats`` ops)."""
+        """The window's state (the ``admission`` block of ``stats``)."""
         with self._lock:
             return {
                 "pending_edges": self.pending_total,
                 "max_pending": self.max_pending,
                 "draining": self.draining,
-                "tenants": {
-                    name: {
-                        "pending": tenant.pending,
-                        "admitted_edges": tenant.admitted_edges,
-                        "rejected": tenant.rejected,
-                    }
-                    for name, tenant in sorted(self._tenants.items())
-                },
             }
 
 
@@ -263,8 +137,6 @@ class PendingBatch:
         src / dst / weight / is_delete: the batch arrays (``is_delete`` is
             None for insert-only batches, matching
             :class:`~repro.datasets.stream.Batch`).
-        tenant_counts: edges per tenant, released to admission when the
-            batch becomes visible.
         seq_end: global sequence number of the batch's last edge (the
             visibility watermark advances to this after the step).
         markers: ``(seq, admit_monotonic)`` pairs for ingest-to-visible
@@ -277,7 +149,6 @@ class PendingBatch:
     dst: np.ndarray
     weight: np.ndarray
     is_delete: np.ndarray | None
-    tenant_counts: dict[str, int]
     seq_end: int
     markers: list[tuple[int, float]]
     cut_reason: str
@@ -317,7 +188,6 @@ class MicroBatcher:
         self._weight: list[float] = []
         self._delete: list[bool] = []
         self._has_delete = False
-        self._tenant_counts: dict[str, int] = {}
         self._markers: list[tuple[int, float]] = []
 
     @property
@@ -326,7 +196,6 @@ class MicroBatcher:
 
     def append(
         self,
-        tenant: str,
         src,
         dst,
         weight=None,
@@ -353,7 +222,6 @@ class MicroBatcher:
             flags = [bool(f) for f in is_delete]
             self._delete.extend(flags)
             self._has_delete = self._has_delete or any(flags)
-        self._tenant_counts[tenant] = self._tenant_counts.get(tenant, 0) + n
         self.seq += n
         self._markers.append((self.seq, now))
         return self.seq
@@ -381,7 +249,6 @@ class MicroBatcher:
                 if self._has_delete
                 else None
             ),
-            tenant_counts=dict(self._tenant_counts),
             seq_end=self.seq,
             markers=list(self._markers),
             cut_reason=reason,

@@ -36,19 +36,15 @@ class ServeClient:
         self._writer = writer
 
     @classmethod
-    async def connect(cls, host: str, port: int,
-                      tenant: str | None = None) -> "ServeClient":
+    async def connect(cls, host: str, port: int) -> "ServeClient":
         """Open a connection and complete the ``hello`` handshake.
 
-        The server's ``hello`` reply (dataset, algorithm, vertex count,
-        resolved tenant name) lands on :attr:`hello_info`.
+        The server's ``hello`` reply (dataset, algorithm, vertex count)
+        lands on :attr:`hello_info`.
         """
         reader, writer = await asyncio.open_connection(host, port)
         client = cls(reader, writer)
-        request: dict = {"op": "hello"}
-        if tenant is not None:
-            request["tenant"] = tenant
-        client.hello_info = await client.request(request)
+        client.hello_info = await client.request({"op": "hello"})
         return client
 
     async def request(self, payload: dict) -> dict:
@@ -86,20 +82,22 @@ class ServeClient:
 async def _ingest_worker(
     host: str,
     port: int,
-    tenant: str,
+    name: str,
     edges_total: int,
     submit_size: int,
     num_vertices: int | None,
     seed: int,
     results: dict,
 ) -> None:
-    client = await ServeClient.connect(host, port, tenant=tenant)
+    """One ingest client.  The server holds a reply while its window is
+    full, so a rejection is final: it ends this client with its code."""
+    client = await ServeClient.connect(host, port)
     try:
         nv = num_vertices or int(client.hello_info.get("num_vertices", 1024))
         rng = np.random.default_rng(seed)
         sent = 0
         acks: list[float] = []
-        rejected = 0
+        error = None
         while sent < edges_total:
             n = min(submit_size, edges_total - sent)
             src = rng.integers(0, nv, size=n)
@@ -107,20 +105,15 @@ async def _ingest_worker(
             edges = [[int(s), int(d)] for s, d in zip(src, dst)]
             started = time.monotonic()
             reply = await client.send_edges(edges)
-            if reply.get("ok"):
-                acks.append(time.monotonic() - started)
-                sent += n
-            else:
-                rejected += 1
-                if reply.get("error") == "draining":
-                    break
-                await asyncio.sleep(
-                    min(1.0, float(reply.get("retry_after") or 0.05))
-                )
-        results[tenant] = {
+            if not reply.get("ok"):
+                error = reply.get("error", "?")
+                break
+            acks.append(time.monotonic() - started)
+            sent += n
+        results[name] = {
             "edges_sent": sent,
             "requests": len(acks),
-            "rejected": rejected,
+            "error": error,
             "ack_latencies": acks,
         }
     finally:
@@ -135,7 +128,7 @@ async def _query_worker(
     done: asyncio.Event,
     results: dict,
 ) -> None:
-    client = await ServeClient.connect(host, port, tenant="loadgen-query")
+    client = await ServeClient.connect(host, port)
     try:
         served = 0
         failed = 0
@@ -178,7 +171,7 @@ async def run_loadgen(
 
     Args:
         host / port: the server address.
-        clients: concurrent ingest connections (distinct tenants).
+        clients: concurrent ingest connections.
         edges: edges *per client*.
         submit_size: edges per ``edges`` request.
         num_vertices: vertex-id range (defaults to the server's universe).
@@ -188,9 +181,10 @@ async def run_loadgen(
         query_interval: seconds between queries.
 
     The report contains client-side numbers (achieved edges/s, ack-latency
-    quantiles, query latency quantiles) and the server's own ``stats``
-    reply (ingest-to-visible quantiles, admission stats) under
-    ``"server"``.
+    quantiles, query latency quantiles), the error code of each ingest
+    client a rejection ended (``"errors"``, by client name; it counts in
+    ``"rejected_requests"``) and the server's own ``stats`` reply
+    (ingest-to-visible quantiles, admission stats) under ``"server"``.
     """
     if clients < 1:
         raise ConfigurationError(f"clients must be >= 1, got {clients}")
@@ -218,7 +212,7 @@ async def run_loadgen(
         await query_task
 
     # Wait for everything sent to become visible, then read server stats.
-    control = await ServeClient.connect(host, port, tenant="loadgen-control")
+    control = await ServeClient.connect(host, port)
     try:
         await control.flush()
         server_stats = await control.stats()
@@ -233,25 +227,19 @@ async def run_loadgen(
     finally:
         await control.close()
 
-    acks = [
-        sample
-        for name, r in results.items()
-        if name != "query"
-        for sample in r["ack_latencies"]
-    ]
-    edges_sent = sum(
-        r["edges_sent"] for name, r in results.items() if name != "query"
-    )
-    requests = sum(
-        r["requests"] for name, r in results.items() if name != "query"
-    )
+    ingest = {name: r for name, r in results.items() if name != "query"}
+    acks = [sample for r in ingest.values() for sample in r["ack_latencies"]]
+    edges_sent = sum(r["edges_sent"] for r in ingest.values())
+    requests = sum(r["requests"] for r in ingest.values())
+    errors = {
+        name: r["error"] for name, r in sorted(ingest.items()) if r["error"]
+    }
     report = {
         "clients": clients,
         "edges_sent": edges_sent,
         "requests": requests,
-        "rejected_requests": sum(
-            r["rejected"] for name, r in results.items() if name != "query"
-        ),
+        "rejected_requests": len(errors),
+        "errors": errors,
         "wall_seconds": ingest_wall,
         "edges_per_second": edges_sent / ingest_wall if ingest_wall else 0.0,
         "requests_per_second": requests / ingest_wall if ingest_wall else 0.0,

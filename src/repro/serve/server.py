@@ -74,33 +74,18 @@ _WAKE = object()
 _LATENCY_WINDOW = 4096
 
 
-def _env(name: str, default, cast):
-    import os
-
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return default
-    try:
-        return cast(raw)
-    except ValueError:
-        return default
-
-
 @dataclass
 class ServeSettings:
     """Service knobs, separate from the pipeline's :class:`RunConfig`.
 
-    Every field has a ``REPRO_SERVE_*`` environment override (applied by
-    :meth:`from_env`; explicit CLI flags win over the environment).
+    ``repro serve`` sets the first five from its flags; the environment
+    sets none.
 
     Attributes:
         batch_target: micro-batch size cap (edges) — the throughput cut.
         queue_depth: bounded hand-off queue length (batches).
-        max_pending: global admitted-but-not-visible edge cap.
-        fair_share: fraction of ``max_pending`` one tenant may hold.
-        rate: per-tenant token-bucket rate, edges/second (0 = unlimited).
-        burst: per-tenant bucket capacity (None = one second of rate).
-        max_delay: rate-limit waits longer than this reject instead.
+        max_pending: admitted-but-not-visible edge cap (the admission
+            window).
         checkpoint_dir / checkpoint_every / checkpoint_keep: durability
             (``checkpoint_every`` counts micro-batches; 0 disables).
         capture: record every admitted edge and batch boundary (the
@@ -110,35 +95,10 @@ class ServeSettings:
     batch_target: int = 10_000
     queue_depth: int = 8
     max_pending: int = 200_000
-    fair_share: float = 0.5
-    rate: float = 0.0
-    burst: float | None = None
-    max_delay: float = 5.0
     checkpoint_dir: str | None = None
     checkpoint_every: int = 0
     checkpoint_keep: int = 3
     capture: bool = False
-
-    @classmethod
-    def from_env(cls, **overrides) -> "ServeSettings":
-        """Defaults ← ``REPRO_SERVE_*`` environment ← explicit overrides."""
-        values = {
-            "batch_target": _env("REPRO_SERVE_BATCH", cls.batch_target, int),
-            "queue_depth": _env("REPRO_SERVE_QUEUE", cls.queue_depth, int),
-            "max_pending": _env(
-                "REPRO_SERVE_MAX_PENDING", cls.max_pending, int
-            ),
-            "fair_share": _env(
-                "REPRO_SERVE_FAIR_SHARE", cls.fair_share, float
-            ),
-            "rate": _env("REPRO_SERVE_RATE", cls.rate, float),
-            "burst": _env("REPRO_SERVE_BURST", cls.burst, float),
-            "max_delay": _env("REPRO_SERVE_MAX_DELAY", cls.max_delay, float),
-        }
-        values.update(
-            {k: v for k, v in overrides.items() if v is not None}
-        )
-        return cls(**values)
 
 
 @dataclass
@@ -221,7 +181,7 @@ class _PipelineDriver(threading.Thread):
             if server.settings.capture:
                 state.batch_sizes.append(pending.size)
             batches_done = state.batches_done
-        server.admission.release(pending.tenant_counts)
+        server.admission.release(pending.size)
         tel = pipeline.telemetry
         if tel.enabled:
             tel.count("serve.batches")
@@ -412,13 +372,7 @@ class ServeServer:
         self.monitor = monitor
         self.pipeline = config.build_pipeline()
         self.batcher = MicroBatcher(target_edges=self.settings.batch_target)
-        self.admission = AdmissionController(
-            max_pending=self.settings.max_pending,
-            fair_share=self.settings.fair_share,
-            rate=self.settings.rate,
-            burst=self.settings.burst,
-            max_delay=self.settings.max_delay,
-        )
+        self.admission = AdmissionController(self.settings.max_pending)
         self.state = _ServeState()
         # The hand-off: ``_batch_queue`` carries batches, ``_STOP`` and
         # wake tokens; ``_queued`` counts all but the tokens, which is
@@ -588,8 +542,6 @@ class ServeServer:
     # -- protocol -------------------------------------------------------------
     async def _handle_client(self, reader: asyncio.StreamReader,
                              writer: asyncio.StreamWriter) -> None:
-        peer = writer.get_extra_info("peername")
-        tenant = f"{peer[0]}:{peer[1]}" if peer else "anonymous"
         self._clients += 1
         try:
             while True:
@@ -607,7 +559,6 @@ class ServeServer:
                     continue
                 op = request.get("op")
                 if op == "hello":
-                    tenant = str(request.get("tenant") or tenant)
                     await self._reply(writer, {
                         "ok": True,
                         "server": "repro-serve",
@@ -615,10 +566,9 @@ class ServeServer:
                         "algorithm": self.config.algorithm,
                         "mode": self.config.mode,
                         "num_vertices": self.pipeline.graph.num_vertices,
-                        "tenant": tenant,
                     })
                 elif op == "edges":
-                    await self._handle_edges(request, tenant, writer)
+                    await self._handle_edges(request, writer)
                 elif op == "query":
                     await self._handle_query(request, writer)
                 elif op == "stats":
@@ -646,7 +596,7 @@ class ServeServer:
         writer.write(json.dumps(payload).encode() + b"\n")
         await writer.drain()
 
-    async def _handle_edges(self, request: dict, tenant: str,
+    async def _handle_edges(self, request: dict,
                             writer: asyncio.StreamWriter) -> None:
         edges = request.get("edges")
         try:
@@ -658,17 +608,15 @@ class ServeServer:
             return
         n = len(edges)
         while True:
-            decision = self.admission.admit(tenant, n)
+            decision = self.admission.admit(n)
             if decision.admitted:
                 break
             if decision.reject:
                 with self.state.lock:
                     self.state.edges_rejected_requests += 1
-                await self._reply(writer, {
-                    "ok": False,
-                    "error": decision.reason,
-                    "retry_after": round(decision.delay, 4),
-                })
+                await self._reply(
+                    writer, {"ok": False, "error": decision.reason}
+                )
                 return
             await asyncio.sleep(decision.delay)
         # Admitted: append + sequence assignment happen synchronously on
@@ -676,7 +624,7 @@ class ServeServer:
         # the property the offline-replay parity invariant rests on.
         is_delete = deletes if any(deletes) else None
         seq_end = self.batcher.append(
-            tenant, src, dst, weight=weight, is_delete=is_delete
+            src, dst, weight=weight, is_delete=is_delete
         )
         with self.state.lock:
             self.state.admitted_seq = seq_end

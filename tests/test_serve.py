@@ -1,18 +1,20 @@
 """``repro serve``: admission control, micro-batching, the live server,
 offline-replay parity, queries, and graceful drain.
 
-The units (token bucket, admission gates, batcher cuts) run with injected
-clocks; the end-to-end tests run a real :class:`ServeServer` on its own
-event-loop thread and speak the wire protocol through
-:class:`ServeClient`.
+The units (the admission window, batcher cuts) run without a server,
+the batcher with an injected clock; the end-to-end tests run a real
+:class:`ServeServer` on its own event-loop thread and speak the wire
+protocol through :class:`ServeClient`.
 """
 
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,88 +27,52 @@ from repro.serve import (
     MicroBatcher,
     ServeClient,
     ServeSettings,
-    TokenBucket,
+    run_loadgen,
     start_server_thread,
 )
 
 
-# -- token bucket --------------------------------------------------------------
-
-def test_token_bucket_rate_burst_and_refill():
-    bucket = TokenBucket(rate=100.0, burst=50.0)
-    assert bucket.delay(50, now=0.0) == 0.0
-    bucket.take(50, now=0.0)
-    assert bucket.delay(10, now=0.0) == pytest.approx(0.1)
-    assert bucket.delay(10, now=0.2) == 0.0  # refilled 20 tokens
-    unlimited = TokenBucket(rate=0.0, burst=0.0)
-    assert unlimited.delay(10**9, now=0.0) == 0.0
-    with pytest.raises(ConfigurationError):
-        TokenBucket(rate=5.0, burst=0.0)
-
-
-# -- admission gates (injected clock) -----------------------------------------
+# -- the admission window ------------------------------------------------------
 
 def test_admission_backpressure_waits_then_releases():
-    ctl = AdmissionController(max_pending=100, fair_share=1.0,
-                              clock=lambda: 0.0)
-    assert ctl.admit("a", 80).admitted
-    blocked = ctl.admit("a", 30)
+    ctl = AdmissionController(max_pending=100)
+    assert ctl.admit(80).admitted
+    blocked = ctl.admit(30)
     assert not blocked.admitted and not blocked.reject
     assert blocked.reason == "backpressure" and blocked.delay > 0.0
-    ctl.release({"a": 50})
-    assert ctl.admit("a", 30).admitted
+    ctl.release(50)
+    assert ctl.admit(30).admitted
     assert ctl.pending_total == 60
 
 
-def test_admission_fairness_only_bites_under_contention():
-    ctl = AdmissionController(max_pending=100, fair_share=0.5,
-                              clock=lambda: 0.0)
-    # A lone tenant may exceed its fair share: nobody is starved.
-    assert ctl.admit("a", 70).admitted
-    assert ctl.admit("b", 20).admitted
-    blocked = ctl.admit("b", 40)  # would put b at 60 > the 50-edge cap
-    assert not blocked.admitted and blocked.reason == "fairness"
-    ctl.release({"a": 70})
-    assert ctl.admit("b", 25).admitted  # back under the cap
-
-
-def test_admission_rate_limit_waits_then_rejects_past_max_delay():
-    ctl = AdmissionController(max_pending=10_000, rate=100.0, burst=100.0,
-                              max_delay=1.0, clock=lambda: 0.0)
-    assert ctl.admit("a", 100).admitted  # drains the bucket
-    soon = ctl.admit("a", 50)
-    assert not soon.admitted and not soon.reject
-    assert soon.reason == "rate_limited"
-    assert soon.delay == pytest.approx(0.5)
-    far = ctl.admit("a", 500)
-    assert far.reject and far.reason == "rate_limited" and far.delay > 1.0
-
-
 def test_admission_oversize_drain_and_stats():
-    ctl = AdmissionController(max_pending=10, clock=lambda: 0.0)
+    ctl = AdmissionController(max_pending=10)
     with pytest.raises(ConfigurationError):
-        ctl.admit("a", 0)
-    big = ctl.admit("a", 11)
+        ctl.admit(0)
+    assert ctl.admit(4).admitted
+    big = ctl.admit(11)
     assert big.reject and big.reason == "too_large"
     ctl.start_drain()
-    refused = ctl.admit("a", 1)
+    refused = ctl.admit(1)
     assert refused.reject and refused.reason == "draining"
-    stats = ctl.stats()
-    assert stats["draining"]
-    assert stats["tenants"]["a"]["rejected"] == 1
+    assert ctl.stats() == {
+        "pending_edges": 4, "max_pending": 10, "draining": True,
+    }
 
 
 # -- micro-batcher -------------------------------------------------------------
 
 def test_batcher_target_cut_sequences_and_tenant_counts():
+    """Submissions from any connections share one sequence; a batch keeps
+    no per-client counts, since the driver releases its ``size``."""
     mb = MicroBatcher(target_edges=10, clock=lambda: 0.0)
-    assert mb.append("a", [1, 2, 3], [4, 5, 6]) == 3
+    assert mb.append([1, 2, 3], [4, 5, 6]) == 3
     assert mb.cut_due() is None
-    mb.append("b", list(range(7)), list(range(7)))
+    mb.append(list(range(7)), list(range(7)))
     assert mb.cut_due() == "target"
     batch = mb.cut("target")
     assert batch.size == 10 and batch.seq_end == 10
-    assert batch.tenant_counts == {"a": 3, "b": 7}
+    assert not hasattr(batch, "tenant_counts")
     assert batch.is_delete is None and batch.cut_reason == "target"
     assert [seq for seq, _ in batch.markers] == [3, 10]
     assert mb.size == 0 and mb.cut_reasons == {"target": 1}
@@ -117,7 +83,7 @@ def test_batcher_never_cuts_on_time_alone():
     lingers, it waits for the server's idle, flush or drain cut."""
     clock = {"t": 0.0}
     mb = MicroBatcher(target_edges=100, clock=lambda: clock["t"])
-    mb.append("a", [1], [2])
+    mb.append([1], [2])
     clock["t"] = 3600.0
     assert mb.cut_due() is None
     batch = mb.cut("idle")
@@ -126,8 +92,7 @@ def test_batcher_never_cuts_on_time_alone():
 
 def test_batcher_preserves_weights_and_deletes():
     mb = MicroBatcher(target_edges=10, clock=lambda: 0.0)
-    mb.append("a", [1, 2], [3, 4], weight=[2.0, 3.0],
-              is_delete=[False, True])
+    mb.append([1, 2], [3, 4], weight=[2.0, 3.0], is_delete=[False, True])
     batch = mb.cut("drain")
     assert batch.weight.tolist() == [2.0, 3.0]
     assert batch.is_delete.tolist() == [False, True]
@@ -138,14 +103,21 @@ def test_batcher_preserves_weights_and_deletes():
 # -- settings ------------------------------------------------------------------
 
 def test_serve_settings_env_defaults_and_overrides(monkeypatch):
+    """The environment sets nothing: each knob has its default or the
+    value passed in."""
     monkeypatch.setenv("REPRO_SERVE_BATCH", "123")
-    monkeypatch.setenv("REPRO_SERVE_RATE", "50")
-    monkeypatch.setenv("REPRO_SERVE_MAX_PENDING", "garbage")  # ignored
-    settings = ServeSettings.from_env(rate=None, queue_depth=4)
-    assert settings.batch_target == 123
-    assert settings.rate == 50.0
-    assert settings.max_pending == ServeSettings.max_pending
-    assert settings.queue_depth == 4  # explicit override wins
+    monkeypatch.setenv("REPRO_SERVE_MAX_PENDING", "garbage")
+    settings = ServeSettings(queue_depth=4)
+    assert settings.batch_target == 10_000
+    assert settings.max_pending == 200_000
+    assert settings.queue_depth == 4
+    assert not hasattr(ServeSettings, "from_env")
+
+
+@pytest.mark.parametrize("name", ["fair_share", "rate", "burst", "max_delay"])
+def test_serve_settings_refuse_the_removed_tenant_knobs(name):
+    with pytest.raises(TypeError):
+        ServeSettings(**{name: 1.0})
 
 
 # -- live server helpers -------------------------------------------------------
@@ -212,8 +184,7 @@ def test_multi_client_ingest_matches_offline_replay():
     try:
         async def drive():
             clients = [
-                await ServeClient.connect(handle.host, handle.port,
-                                          tenant=f"c{i}")
+                await ServeClient.connect(handle.host, handle.port)
                 for i in range(3)
             ]
             nv = clients[0].hello_info["num_vertices"]
@@ -372,27 +343,63 @@ def test_triangle_count_query_from_live_snapshot():
         handle.stop()
 
 
-def test_rate_limited_submission_is_rejected_with_retry_hint():
-    handle = start_server_thread(
-        _config(),
-        ServeSettings(rate=10.0, burst=10.0, max_delay=0.0),
-    )
+# -- the admission window, live -------------------------------------------------
+
+def test_full_window_holds_the_reply_and_oversize_is_refused():
+    """A submission that would overfill the window gets its ack only once
+    a step makes earlier edges visible; one larger than the window is
+    refused and admits nothing."""
+    handle = start_server_thread(_config(), ServeSettings(max_pending=100))
+    server = handle.server
+    entered, release = _hold(server.pipeline, "step")
     try:
         async def drive():
-            client = await ServeClient.connect(handle.host, handle.port)
-            # 20 edges against a 10-token bucket needs a 1s wait, which
-            # exceeds max_delay=0: explicit rejection, not silent queuing.
-            reply = await client.send_edges(
-                [[0, v + 1] for v in range(20)]
+            first = await ServeClient.connect(handle.host, handle.port)
+            waiter = await ServeClient.connect(handle.host, handle.port)
+            assert (await first.send_edges([[0, v] for v in range(60)]))["ok"]
+            assert await asyncio.to_thread(entered.wait, 10.0)
+            assert (await first.send_edges([[1, v] for v in range(30)]))["ok"]
+            held = asyncio.ensure_future(
+                waiter.send_edges([[2, v] for v in range(20)])
             )
-            assert not reply["ok"]
-            assert reply["error"] == "rate_limited"
-            assert reply["retry_after"] > 0.0
-            await client.close()
+            await asyncio.sleep(0.3)
+            assert not held.done()
+            too_large = await first.send_edges([[3, v] for v in range(101)])
+            assert too_large == {"ok": False, "error": "too_large"}
+            stats = await first.stats()
+            assert stats["admitted_seq"] == 90 and stats["visible_seq"] == 0
+            assert stats["admission"]["pending_edges"] == 90
+            release.set()
+            reply = await asyncio.wait_for(held, 10.0)
+            assert reply["ok"] and reply["seq"] == 110
+            stats = await _caught_up(first)
+            assert stats["visible_seq"] == 110
+            assert stats["rejected_requests"] == 1
+            assert stats["admission"]["pending_edges"] == 0
+            for client in (first, waiter):
+                await client.close()
 
         asyncio.run(drive())
     finally:
+        release.set()
         handle.stop()
+
+
+def test_loadgen_client_ends_on_a_rejection():
+    """A rejection is final: loadgen reports it instead of resending."""
+    handle = start_server_thread(_config(), ServeSettings(max_pending=100))
+    try:
+        report = asyncio.run(asyncio.wait_for(
+            run_loadgen(handle.host, handle.port, clients=1, edges=200,
+                        submit_size=200),
+            timeout=20.0,
+        ))
+    finally:
+        handle.stop()
+    assert report["edges_sent"] == 0
+    assert report["rejected_requests"] == 1
+    assert report["errors"] == {"loadgen-0": "too_large"}
+    assert report["server"]["rejected_requests"] == 1
 
 
 # -- graceful drain ------------------------------------------------------------
@@ -501,8 +508,7 @@ def test_no_edge_is_stranded_without_a_timer():
     try:
         async def drive():
             clients = [
-                await ServeClient.connect(handle.host, handle.port,
-                                          tenant=f"s{i}")
+                await ServeClient.connect(handle.host, handle.port)
                 for i in range(6)
             ]
             nv = clients[0].hello_info["num_vertices"]
@@ -624,6 +630,18 @@ def test_malformed_request_is_answered_and_connection_kept(served, payload,
     asyncio.run(drive())
 
 
+def test_hello_naming_a_tenant_is_still_answered(served):
+    async def drive():
+        client = await ServeClient.connect(served.host, served.port)
+        reply = await client.request({"op": "hello", "tenant": "x"})
+        await client.close()
+        return reply
+
+    reply = asyncio.run(drive())
+    assert reply["ok"] and reply["dataset"] == "fb"
+    assert reply["num_vertices"] == served.server.pipeline.graph.num_vertices
+
+
 # -- heartbeat integration -----------------------------------------------------
 
 def test_serve_heartbeat_carries_service_section(tmp_path):
@@ -663,17 +681,67 @@ def test_cli_parser_accepts_serve_and_loadgen():
 
     parser = build_parser()
     args = parser.parse_args(
-        ["serve", "fb", "--serve-batch", "500", "--rate", "10",
+        ["serve", "fb", "--serve-batch", "500", "--max-pending", "5000",
          "--checkpoint", "/tmp/ckpt", "--every", "7"]
     )
     assert args.command == "serve"
-    assert args.serve_batch == 500 and args.rate == 10.0
+    assert args.serve_batch == 500 and args.max_pending == 5000
     assert args.every == 7
     args = parser.parse_args(
         ["loadgen", "--port", "1234", "--query", "triangles", "--json"]
     )
     assert args.command == "loadgen"
     assert args.port == 1234 and args.query == "triangles" and args.json
+
+
+@pytest.mark.parametrize("flag", ["--fair-share", "--rate", "--burst",
+                                  "--max-delay"])
+def test_removed_serve_flags_exit_2(flag, capsys):
+    """Parsed only: a flag that is accepted again fails here instead of
+    starting a server."""
+    from repro.cli import build_parser
+
+    with pytest.raises(SystemExit) as exited:
+        build_parser().parse_args(["serve", "fb", flag, "1"])
+    assert exited.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def _serve_parser():
+    from repro.cli import build_parser
+
+    return build_parser()._subparsers._group_actions[0].choices["serve"]
+
+
+def test_serve_options_are_pinned():
+    """Every serve knob is listed here, so adding one is a visible diff."""
+    assert [f.name for f in dataclasses.fields(ServeSettings)] == [
+        "batch_target", "queue_depth", "max_pending", "checkpoint_dir",
+        "checkpoint_every", "checkpoint_keep", "capture",
+    ]
+    flags = [
+        action.option_strings[-1] for action in _serve_parser()._actions
+        if action.option_strings and action.dest != "help"
+    ]
+    assert flags == [
+        "--host", "--port", "--port-file", "--batch-size", "--algorithm",
+        "--mode", "--telemetry", "--serve-batch", "--queue-depth",
+        "--max-pending", "--checkpoint", "--every", "--heartbeat", "--prom",
+    ]
+    src = Path(__file__).resolve().parents[1] / "src"
+    named = [
+        str(path.relative_to(src)) for path in sorted(src.rglob("*.py"))
+        if "REPRO_SERVE_" in path.read_text(encoding="utf-8")
+    ]
+    assert named == []
+
+
+def test_serve_flag_defaults_are_the_settings_defaults():
+    """`repro serve` with no flags serves with ``ServeSettings()``."""
+    args = _serve_parser().parse_args(["fb"])
+    assert args.queue_depth == ServeSettings.queue_depth
+    assert args.max_pending == ServeSettings.max_pending
+    assert args.batch_size == ServeSettings.batch_target
 
 
 def test_run_config_from_serve_args_is_open_ended():
